@@ -64,7 +64,7 @@ def main() -> int:
         )
 
     section("exhaustive low-weight search")
-    for m, e in [(4, 14), (6, 86)]:
+    for m, e in [(4, 14), (6, 86), (8, 86)] + ([] if args.skip_m10 else [(10, 734)]):
         w = min_weight_leq3_search(build_field(m), e)
         expect(w.verdict == "no_word_below_4", f"(m={m}, e={e}) has no word below 4")
 

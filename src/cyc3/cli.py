@@ -323,10 +323,7 @@ def _cmd_family(args):
 def _cmd_mindist(args):
     field = build_field(args.m)
     spec = build_code(field, args.e)
-    try:
-        witness = min_weight_leq3_search(field, args.e, allow_long=args.allow_long)
-    except ValueError as exc:
-        raise ValueError(str(exc).replace("pass allow_long=True", "pass --allow-long"))
+    witness = min_weight_leq3_search(field, args.e)
     budget = 3 ** (spec.n - spec.k)
     ball1 = hamming_ball(spec.n, 1, 3)
     ball2 = hamming_ball(spec.n, 2, 3)
@@ -579,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--allow-long",
         action="store_true",
-        help="permit the long pair scan at m = 9 or 10",
+        help="no effect: the search runs at every m <= 10 (kept for old scripts)",
     )
 
     p = add("factor", _cmd_factor, "factor a polynomial over GF(3)")

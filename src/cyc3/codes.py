@@ -12,8 +12,10 @@ checked elsewhere: it decides "is there a codeword of weight 1, 2, or 3" by
 direct search over columns, so the two routes can be played against each
 other.  Weight 1 is impossible (no column is zero).  Weight 2 reduces to a
 column being a base-field multiple of another, which pins the position gap
-to n/2.  Weight 3 scans pairs (i < j), solves for the unique candidate third
-column, and accepts only hits with index k > j, with the third scalar
+to n/2.  Weight 3 needs only the pairs (0, j): the code is cyclic, so every
+word of weight 3 has a cyclic shift with a nonzero at position 0, and the
+scan is linear in n.  For each j it solves for the unique candidate third
+column and accepts only hits with index k > j, with the third scalar
 normalized to 1; the candidate lookup runs in Zech-logarithm space, and any
 hit is confirmed against the actual field arithmetic before being reported.
 """
@@ -26,9 +28,6 @@ from math import comb
 from .cosets import coset, minimal_polynomial
 from .field import LOG_TABLE_MAX_DEGREE, Field
 from .gf3poly import Poly
-
-# pair scans up to m=8 run unprompted; 9 and 10 only on request
-SEARCH_DEFAULT_MAX_DEGREE = 8
 
 
 class ConjugateExponentError(ValueError):
@@ -108,24 +107,21 @@ def _confirm_witness(field: Field, e: int, positions, values) -> None:
         )
 
 
-def min_weight_leq3_search(field: Field, e: int, allow_long: bool = False) -> WeightWitness:
+def min_weight_leq3_search(field: Field, e: int) -> WeightWitness:
     """Search for a codeword of weight 1, 2, or 3.
 
-    Returns the first witness in scan order (i, j, scalar pair), scaled so
-    its first value is 1, or the verdict no_word_below_4.  Refuses m > 8
-    unless allow_long is set; m > 10 is out of reach for the scan
-    regardless (no Zech tables).
+    Returns the first witness in scan order (j, scalar pair), scaled so
+    its first value is 1, or the verdict no_word_below_4.  Every witness
+    starts at position 0: the code is cyclic, so a word of weight 2 or 3
+    has a cyclic shift that is nonzero at position 0, and scanning the
+    pairs (0, j) covers all of them.  m > 10 is out of reach (no Zech
+    tables).
     """
     m, n = field.m, field.order
     if m > LOG_TABLE_MAX_DEGREE:
         raise ValueError(
             f"weight search needs Zech tables, available for m <= "
             f"{LOG_TABLE_MAX_DEGREE}; got m={m}"
-        )
-    if m > SEARCH_DEFAULT_MAX_DEGREE and not allow_long:
-        raise ValueError(
-            f"weight search at m={m} scans about {n * (n - 1) // 2} column "
-            f"pairs; pass allow_long=True to run it anyway"
         )
     if not 1 <= e <= n - 1:
         raise ValueError(f"e must be in [1, {n - 1}], got {e}")
@@ -143,39 +139,34 @@ def min_weight_leq3_search(field: Field, e: int, allow_long: bool = False) -> We
         _confirm_witness(field, e, positions, values)
         return WeightWitness("found", positions, values)
 
-    # Weight 3: for each pair i < j and scalars (lam1, lam2), the third
-    # column is determined: col_k = -(lam1*col_i + lam2*col_j), third scalar
+    # Weight 3: for each j > 0 and scalars (lam1, lam2), the third column
+    # is determined: col_k = -(lam1*col_0 + lam2*col_j), third scalar
     # normalized to 1.  Solve for k from the first coordinates via Zech
     # logs, then accept iff the second coordinates agree and k > j.
-    ei = 0
-    for i in range(n - 2):
-        ej = ei
-        for j in range(i + 1, n):
-            ej += emod
-            if ej >= n:
-                ej -= n
-            for o1 in (0, half):  # lam1 = 1, 2
-                for o2 in (0, half):  # lam2 = 1, 2
-                    d1 = (j + o2 - i - o1) % n
-                    if d1 == half:
-                        continue  # first coordinates cancel; no third column
-                    k = (i + o1 + zech[d1] + half) % n
-                    if k <= j:
-                        continue
-                    d2 = (ej + o2 - ei - o1) % n
-                    if d2 == half:
-                        continue  # second coordinates cancel
-                    if k * emod % n == (ei + o1 + zech[d2] + half) % n:
-                        lam1 = 1 if o1 == 0 else 2
-                        lam2 = 1 if o2 == 0 else 2
-                        # scale by lam1^-1 = lam1 so the first value is 1
-                        positions = (i, j, k)
-                        values = (1, lam1 * lam2 % 3, lam1)
-                        _confirm_witness(field, e, positions, values)
-                        return WeightWitness("found", positions, values)
-        ei += emod
-        if ei >= n:
-            ei -= n
+    ej = 0
+    for j in range(1, n):
+        ej += emod
+        if ej >= n:
+            ej -= n
+        for o1 in (0, half):  # lam1 = 1, 2
+            for o2 in (0, half):  # lam2 = 1, 2
+                d1 = (j + o2 - o1) % n
+                if d1 == half:
+                    continue  # first coordinates cancel; no third column
+                k = (o1 + zech[d1] + half) % n
+                if k <= j:
+                    continue
+                d2 = (ej + o2 - o1) % n
+                if d2 == half:
+                    continue  # second coordinates cancel
+                if k * emod % n == (o1 + zech[d2] + half) % n:
+                    lam1 = 1 if o1 == 0 else 2
+                    lam2 = 1 if o2 == 0 else 2
+                    # scale by lam1^-1 = lam1 so the first value is 1
+                    positions = (0, j, k)
+                    values = (1, lam1 * lam2 % 3, lam1)
+                    _confirm_witness(field, e, positions, values)
+                    return WeightWitness("found", positions, values)
     return WeightWitness("no_word_below_4")
 
 

@@ -60,7 +60,9 @@ def test_01_certifies_optimal_parameters_in_time(m, e, n, k, budget):
     print(f"PASS criterion 1 ({m},{e}): optimal [{n},{k},4]")
 
 
-@pytest.mark.parametrize("m,e", [(4, 14), (6, 86)], ids=["m4", "m6"])
+@pytest.mark.parametrize(
+    "m,e", [(4, 14), (6, 86), (8, 86), (10, 734)], ids=["m4", "m6", "m8", "m10"]
+)
 def test_02_exhaustive_low_weight_search_and_packing_bound(m, e):
     proc = timed(
         10.0, run_cli, "mindist", "--m", str(m), "--e", str(e), "--format", "json"

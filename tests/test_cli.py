@@ -119,11 +119,15 @@ def test_mindist_witness_payload(capsys):
     assert d["witness"] == {"positions": [0, 10, 30], "values": [1, 2, 2], "weight": 3}
 
 
-def test_mindist_refusal_mentions_flag(capsys):
-    code, _, err = run_cli(capsys, "mindist", "--m", "9", "--e", "14")
-    assert code == 2
-    assert "--allow-long" in err
-    assert "column pairs" in err
+def test_mindist_runs_at_m10_and_accepts_allow_long(capsys):
+    # the search is linear in n, so m = 10 runs without a flag;
+    # --allow-long is still accepted and changes nothing
+    code, out, _ = run_cli(capsys, "mindist", "--m", "10", "--e", "734", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "no_word_below_4"
+    args = ("mindist", "--m", "4", "--e", "14", "--format", "json")
+    plain = run_cli(capsys, *args)
+    assert run_cli(capsys, *args, "--allow-long") == plain
 
 
 def test_family_open_problem(capsys):

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyc3.codes import (
-    SEARCH_DEFAULT_MAX_DEGREE,
     ConjugateExponentError,
     build_code,
     hamming_ball,
@@ -15,6 +14,7 @@ from cyc3.codes import (
     sphere_packing_max_d,
     syndrome,
 )
+from cyc3.cosets import coset
 from cyc3.field import build_field
 from cyc3.gf3poly import Poly
 
@@ -121,12 +121,72 @@ def test_witnesses_are_codewords():
 
 
 def test_search_size_guard():
+    # no Zech tables beyond m = 10, so the search refuses up front
     with pytest.raises(ValueError) as exc:
-        min_weight_leq3_search(build_field(SEARCH_DEFAULT_MAX_DEGREE + 1), 14)
-    assert "column pairs" in str(exc.value)
-    with pytest.raises(ValueError):
-        # beyond the table cap even allow_long cannot help
-        min_weight_leq3_search(build_field(11), 14, allow_long=True)
+        min_weight_leq3_search(build_field(11), 14)
+    assert "m <= 10" in str(exc.value)
+
+
+def _brute_force_light_word(field, e):
+    """First word of weight 2 or 3, by enumeration of every position set.
+
+    Independent of the search under test: no Zech logarithms and no
+    cyclic-shift reduction.  Columns come from plain field arithmetic;
+    pairs are tried in (i, j, scalar) order, then triples i < j < k in
+    (i, j, lam1, lam2) order for the word lam1*col_i + lam2*col_j + col_k,
+    reported scaled so its first value is 1 (as the search reports it).
+    """
+    n = field.order
+    cols = parity_check_columns(field, e)
+    scaled = {
+        lam: [(field.scalar_mul(lam, a), field.scalar_mul(lam, b)) for a, b in cols]
+        for lam in (1, 2)
+    }
+
+    def add(u, v):
+        return field.add(u[0], v[0]), field.add(u[1], v[1])
+
+    zero = (field.zero, field.zero)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for lam in (1, 2):
+                if add(cols[i], scaled[lam][j]) == zero:
+                    return "found", (i, j), (1, lam)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for lam1 in (1, 2):
+                for lam2 in (1, 2):
+                    # col_k must equal -(lam1*col_i + lam2*col_j)
+                    target = add(scaled[lam1][i], scaled[lam2][j])
+                    target = (field.neg(target[0]), field.neg(target[1]))
+                    for k in range(j + 1, n):
+                        if cols[k] == target:
+                            positions = (i, j, k)
+                            values = (1, lam1 * lam2 % 3, lam1)
+                            return "found", positions, values
+    return "no_word_below_4", None, None
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_search_matches_brute_force_over_all_triples(m):
+    # the search scans only the row i = 0; the full enumeration must
+    # agree on the verdict and on the first witness for every
+    # non-conjugate exponent
+    field = build_field(m)
+    conjugates = set(coset(1, 3, m).members)
+    clean = 0
+    for e in range(1, field.order):
+        if e in conjugates:
+            continue
+        w = min_weight_leq3_search(field, e)
+        assert (w.verdict, w.positions, w.values) == _brute_force_light_word(
+            field, e
+        ), f"e={e}"
+        if w.positions is not None:
+            s1, s2 = syndrome(field, e, w.positions, w.values)
+            assert s1 == field.zero and s2 == field.zero
+        clean += w.verdict == "no_word_below_4"
+    assert clean > 0  # the full scans are exercised, not only early exits
 
 
 def test_hamming_ball_values():

@@ -175,6 +175,29 @@ def test_conditions_biconditional_with_weight_search_at_m4():
     assert optimal == [2, 14]
 
 
+@pytest.mark.parametrize("m,leaders,optimal", [(6, 56, 15), (8, 400, 58)])
+def test_conditions_biconditional_with_weight_search_at_m6_m8(m, leaders, optimal):
+    """The same biconditional over every full-size even coset leader at
+    m = 6 and m = 8."""
+    field = build_field(m)
+    c1_members = set(coset(1, 3, m).members)
+    full = [
+        e
+        for e in sorted({coset(e, 3, m).leader for e in range(2, field.order, 2)})
+        if e not in c1_members and coset(e, 3, m).size == m
+    ]
+    disagreements = []
+    n_optimal = 0
+    for e in full:
+        verdict = verify_optimal(field, e).verdict == "optimal"
+        clean = min_weight_leq3_search(field, e).verdict == "no_word_below_4"
+        if verdict != clean:
+            disagreements.append(e)
+        n_optimal += verdict
+    assert disagreements == []
+    assert (len(full), n_optimal) == (leaders, optimal)
+
+
 @settings(max_examples=40)
 @given(st.integers(min_value=1, max_value=39).map(lambda i: 2 * i))
 def test_optimality_is_a_coset_invariant(e):
