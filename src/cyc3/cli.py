@@ -11,9 +11,6 @@ byte-identical), which is why wall time appears only in text output and
 every collection is emitted in a fixed order.  The verify subcommand emits
 the bare report schema; every other command wraps its payload with the
 command name and artifact version.
-
-CYC3_WORKERS sets the worker count for family sweeps (default: available
-parallelism; 1 disables the process pool).
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 
@@ -48,19 +44,6 @@ VERIFY_CSV_COLUMNS = [
     "m", "e", "h", "c1", "cosetOk", "gcd", "c2Solutions", "c3Solutions",
     "verdict", "n", "k", "d", "modulus",
 ]
-
-
-def _workers() -> int:
-    raw = os.environ.get("CYC3_WORKERS", "")
-    if raw.strip():
-        try:
-            w = int(raw)
-        except ValueError:
-            raise ValueError(f"CYC3_WORKERS must be an integer, got {raw!r}")
-        if w < 1:
-            raise ValueError(f"CYC3_WORKERS must be >= 1, got {w}")
-        return w
-    return os.cpu_count() or 1
 
 
 def _bool_text(b: bool) -> str:
@@ -273,7 +256,7 @@ def _family_discrepancies(rows, summary) -> list[str]:
 
 def _cmd_family(args):
     ms = args.m_list
-    rows = verify_family(args.name, ms, workers=args_workers(args))
+    rows = verify_family(args.name, ms)
     instances_json = []
     csv_rows = []
     for inst, rep in rows:
@@ -484,12 +467,6 @@ def _cmd_search(args):
     return 0, payload, text, None
 
 
-def args_workers(args) -> int:
-    if getattr(args, "workers", None):
-        return args.workers
-    return _workers()
-
-
 def _parse_m_list(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok.strip()]
@@ -566,18 +543,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["open-problem", "concl-A", "concl-B", "concl-C"],
     )
     p.add_argument("--m-list", type=_parse_m_list, required=True)
-    p.add_argument(
-        "--workers", type=int, help="override CYC3_WORKERS for this run"
-    )
 
     p = add("mindist", _cmd_mindist, "brute-force search for weight <= 3")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
-    p.add_argument(
-        "--allow-long",
-        action="store_true",
-        help="no effect: the search runs at every m <= 10 (kept for old scripts)",
-    )
 
     p = add("factor", _cmd_factor, "factor a polynomial over GF(3)")
     p.add_argument(

@@ -12,9 +12,10 @@ checked elsewhere: it decides "is there a codeword of weight 1, 2, or 3" by
 direct search over columns, so the two routes can be played against each
 other.  Weight 1 is impossible (no column is zero).  Weight 2 reduces to a
 column being a base-field multiple of another, which pins the position gap
-to n/2.  Weight 3 needs only the pairs (0, j): the code is cyclic, so every
-word of weight 3 has a cyclic shift with a nonzero at position 0, and the
-scan is linear in n.  For each j it solves for the unique candidate third
+to n/2.  Weight 3 needs only the pairs (0, j) with j <= n/3: the code is
+cyclic, so every word of weight 3 has a cyclic shift with a nonzero at
+position 0 whose next nonzero is at most n/3 away, and the scan is linear
+in n.  For each j it solves for the unique candidate third
 column and accepts only hits with index k > j, with the third scalar
 normalized to 1; the candidate lookup runs in Zech-logarithm space, and any
 hit is confirmed against the actual field arithmetic before being reported.
@@ -114,8 +115,8 @@ def min_weight_leq3_search(field: Field, e: int) -> WeightWitness:
     its first value is 1, or the verdict no_word_below_4.  Every witness
     starts at position 0: the code is cyclic, so a word of weight 2 or 3
     has a cyclic shift that is nonzero at position 0, and scanning the
-    pairs (0, j) covers all of them.  m > 10 is out of reach (no Zech
-    tables).
+    pairs (0, j) covers all of them.  m > LOG_TABLE_MAX_DEGREE is out of
+    reach (no Zech tables).
     """
     m, n = field.m, field.order
     if m > LOG_TABLE_MAX_DEGREE:
@@ -143,8 +144,15 @@ def min_weight_leq3_search(field: Field, e: int) -> WeightWitness:
     # is determined: col_k = -(lam1*col_0 + lam2*col_j), third scalar
     # normalized to 1.  Solve for k from the first coordinates via Zech
     # logs, then accept iff the second coordinates agree and k > j.
+    #
+    # j <= n // 3 suffices.  A word with nonzeros at p < q < r has the
+    # cyclic gaps q - p, r - q and n - r + p, which sum to n, so the
+    # smallest is at most n // 3.  Its shift that moves the nonzero before
+    # the smallest gap to position 0 is a hit at j = that gap (k = j + the
+    # next gap > j).  So every word is met at some j <= n // 3, and the
+    # first hit, the witness, is the one a scan over every j finds first.
     ej = 0
-    for j in range(1, n):
+    for j in range(1, n // 3 + 1):
         ej += emod
         if ej >= n:
             ej -= n

@@ -80,7 +80,7 @@ def check_c1(e: int) -> bool:
 
 def _solutions_table(field: Field, e: int, sign: int) -> list[tuple]:
     """Solutions of (x+1)^e + sign*(x^e + 1) = 0 via Zech logarithms."""
-    exp, _, zech = field.tables()
+    _, _, zech = field.tables()
     n = field.order
     half = n // 2
     emod = e % n
@@ -89,7 +89,7 @@ def _solutions_table(field: Field, e: int, sign: int) -> list[tuple]:
         sols.append(field.zero)  # (0+1)^e - 0 - 1 = 0 always
     # x = -1 solves both variants iff e is odd: 0 +- ((-1)^e + 1)
     if emod * half % n == half:
-        sols.append(exp[half])
+        sols.append(field.exp_of_generator(half))
     offset = 0 if sign < 0 else half  # RHS is +-(x^e + 1)
     ie = 0
     for i in range(n):
@@ -99,7 +99,7 @@ def _solutions_table(field: Field, e: int, sign: int) -> list[tuple]:
         if ie != half:
             # (x+1)^e = alpha^(zech[i]*e); +-(x^e+1) = alpha^(zech[ie]+offset)
             if zech[i] * emod % n == (zech[ie] + offset) % n:
-                sols.append(exp[i])
+                sols.append(field.exp_of_generator(i))
         ie = (ie + emod) % n
     sols.sort()
     return sols
@@ -269,23 +269,11 @@ def family_instances(name: str, ms: list[int]) -> list[FamilyInstance]:
     return out
 
 
-def _verify_instance(args: tuple[int, int, int]) -> ConditionReport:
-    # module-level so process pools can pickle it
-    m, e, h = args
-    return verify_optimal(build_field(m), e, h)
-
-
 def verify_family(
-    name: str, ms: list[int], workers: int = 1
+    name: str, ms: list[int]
 ) -> list[tuple[FamilyInstance, ConditionReport]]:
-    """verify_optimal over every instance of a family; order preserved."""
-    instances = family_instances(name, ms)
-    jobs = [(inst.m, inst.e, inst.h) for inst in instances]
-    if workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_verify_instance, jobs))
-    else:
-        reports = [_verify_instance(job) for job in jobs]
-    return list(zip(instances, reports))
+    """verify_optimal over every instance of a family, in order."""
+    return [
+        (inst, verify_optimal(build_field(inst.m), inst.e, inst.h))
+        for inst in family_instances(name, ms)
+    ]

@@ -1,8 +1,9 @@
 """GF(3^m) construction and exact element arithmetic.
 
 Elements are length-m tuples of coefficients in {0, 1, 2}, ascending degree,
-representing residues mod a monic irreducible modulus of degree m.  The
-canonical modulus for each m is the first monic irreducible, in ascending
+representing residues mod a monic irreducible modulus of degree m; the
+arithmetic, the generator and the text forms all use tuples.  The canonical
+modulus for each m is the first monic irreducible, in ascending
 coefficient-sequence order, whose residue class of x is primitive; the
 canonical generator is then x itself.  An explicit modulus may be supplied
 instead, in which case a primitive generator is discovered by search.  Every
@@ -16,6 +17,14 @@ alpha^(u + zech[(v-u) mod n]), with a -1 sentinel where the sum is zero.
 That is what makes the exhaustive equation scans and the weight search fast
 enough in pure Python.
 
+The tables hold elements as integer codes, not tuples: an element's code is
+its coefficient tuple read as a base-3 numeral with the constant term as
+the most significant digit, so code order is tuple order (encode/decode
+convert).  Multiplying by x then shifts the code one digit down and adds a
+multiple of the modulus tail digit by digit through two lookup tables, and
+adding 1 changes only the top digit, which makes the Zech table a single
+gather from the flat log table.
+
 Degrees are capped at MAX_DEGREE so every exponent and order fits
 comfortably in machine integers.
 """
@@ -23,12 +32,12 @@ comfortably in machine integers.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .gf3poly import Poly, is_irreducible, powmod, prime_factors
 
 MAX_DEGREE = 20
-LOG_TABLE_MAX_DEGREE = 10
+LOG_TABLE_MAX_DEGREE = 12
 
 # -1 entry in a Zech table: 1 + alpha^i = 0 there, no logarithm exists
 ZECH_ZERO = -1
@@ -59,8 +68,8 @@ class Field:
         self.gen = self._pad(gen_poly.coeffs)
         self._gen_is_x = m >= 2 and gen_poly == Poly.x()
         self._order_primes = prime_factors(self.order) if self.order > 1 else ()
-        self._exp: list[tuple] | None = None
-        self._log: dict[tuple, int] | None = None
+        self._exp: list[int] | None = None
+        self._log: list[int] | None = None
         self._zech: list[int] | None = None
         self._minpoly_cache: dict[int, Poly] = {}
         if not self._has_order_n(gen_poly):
@@ -127,23 +136,11 @@ class Field:
                         t[base + j] = (t[base + j] - c * tail[j]) % 3
         return tuple(t[:m])
 
-    def _mul_gen(self, a: tuple) -> tuple:
-        # fast path for table building when the generator is x
-        if self._gen_is_x:
-            m = self.m
-            c = a[m - 1]
-            shifted = (0,) + a[: m - 1]
-            if not c:
-                return shifted
-            tail = self._mod_tail
-            return tuple((shifted[j] - c * tail[j]) % 3 for j in range(m))
-        return self.mul(a, self.gen)
-
     def inv(self, a: tuple) -> tuple:
         if a == self.zero:
             raise ZeroDivisionError("inversion of zero field element")
         if self._log is not None:
-            return self._exp[(-self._log[a]) % self.order]
+            return self.decode(self._exp[-self._log[self.encode(a)] % self.order])
         from .gf3poly import poly_gcdext
 
         g, s, _ = poly_gcdext(Poly(a), self.modulus)
@@ -161,7 +158,7 @@ class Field:
             return self.one if e == 0 else self.zero
         e %= self.order
         if self._log is not None:
-            return self._exp[(self._log[a] * e) % self.order]
+            return self.decode(self._exp[self._log[self.encode(a)] * e % self.order])
         return self._pow_generic(a, e)
 
     def _pow_generic(self, a: tuple, e: int) -> tuple:
@@ -180,26 +177,51 @@ class Field:
     def exp_of_generator(self, i: int) -> tuple:
         i %= self.order
         if self._exp is not None:
-            return self._exp[i]
+            return self.decode(self._exp[i])
         return self._pow_generic(self.gen, i)
 
     def log(self, a: tuple) -> int:
         if a == self.zero:
             raise ValueError("zero has no discrete logarithm")
-        exp, log, _ = self.tables()
-        return log[a]
+        _, log, _ = self.tables()
+        return log[self.encode(a)]
 
     def elements(self):
         """All 3^m elements, ascending coefficient-sequence order."""
         yield from itertools.product(range(3), repeat=self.m)
 
+    def encode(self, a: tuple) -> int:
+        """The code of a: its coefficients as a base-3 numeral, constant
+        term most significant."""
+        code = 0
+        for c in a:
+            code = code * 3 + c
+        return code
+
+    def decode(self, code: int) -> tuple:
+        low, high_digits, low_digits = self._digit_halves
+        return high_digits[code // low] + low_digits[code % low]
+
+    @cached_property
+    def _digit_halves(self) -> tuple[int, list[tuple], list[tuple]]:
+        # a code splits into its high m - m//2 and low m//2 digits; the
+        # digit tuples of each half, listed in code order, decode it
+        k = self.m // 2
+        return (
+            3**k,
+            list(itertools.product(range(3), repeat=self.m - k)),
+            list(itertools.product(range(3), repeat=k)),
+        )
+
     # -- tables --------------------------------------------------------------
 
-    def tables(self) -> tuple[list[tuple], dict[tuple, int], list[int]]:
+    def tables(self) -> tuple[list[int], list[int], list[int]]:
         """(exp, log, zech) for m <= LOG_TABLE_MAX_DEGREE; built lazily.
 
-        exp[i] = alpha^i for i in [0, order); log inverts it; zech[i] is the
-        logarithm of 1 + alpha^i, or ZECH_ZERO where that sum vanishes.
+        exp[i] is the code of alpha^i for i in [0, order); log, indexed by
+        code, inverts it and holds ZECH_ZERO at the code 0 of zero; zech[i]
+        is the logarithm of 1 + alpha^i, or ZECH_ZERO where that sum
+        vanishes.
         """
         if self._exp is not None:
             return self._exp, self._log, self._zech
@@ -207,22 +229,39 @@ class Field:
             raise ValueError(
                 f"tables limited to m <= {LOG_TABLE_MAX_DEGREE}, got m={self.m}"
             )
-        n = self.order
-        exp = [None] * n
-        a = self.one
-        for i in range(n):
-            exp[i] = a
-            a = self._mul_gen(a)
-        if a != self.one:
+        m, n = self.m, self.order
+        top = 3 ** (m - 1)  # code of one, and the weight of the top digit
+        exp = [0] * n
+        a = top
+        if self._gen_is_x:
+            # a*x: drop the lowest digit c (the x^(m-1) coefficient) and
+            # add -c*tail digit by digit, high and low halves by lookup
+            k = m // 2
+            low = 3**k
+            vecs = [tuple(-c * t % 3 for t in self._mod_tail) for c in range(3)]
+            hi = [[low * h for h in _digitwise_adder(v[: m - k])] for v in vecs]
+            lo = [_digitwise_adder(v[m - k :]) for v in vecs]
+            for i in range(n):
+                exp[i] = a
+                c = a % 3
+                a //= 3
+                a = hi[c][a // low] + lo[c][a % low]
+        else:
+            gen = self.gen
+            for i in range(n):
+                exp[i] = a
+                a = self.encode(self.mul(self.decode(a), gen))
+        if a != top:
             raise RuntimeError("generator order mismatch")  # pragma: no cover
-        log = {a: i for i, a in enumerate(exp)}
-        if len(log) != n:
+        log = [ZECH_ZERO] * (3 * top)
+        for i, a in enumerate(exp):
+            log[a] = i
+        if log.count(ZECH_ZERO) != 1:
             raise RuntimeError("generator powers collide")  # pragma: no cover
-        one = self.one
-        zech = [0] * n
-        for i in range(n):
-            s = self.add(one, exp[i])
-            zech[i] = log[s] if s in log else ZECH_ZERO
+        # 1 + a raises the top digit of a's code, wrapping 2 to 0, so
+        # plus_one[a] = log[a + top] below 2*top and log[a - 2*top] above
+        plus_one = log[top:] + log[:top]
+        zech = list(map(plus_one.__getitem__, exp))
         self._exp, self._log, self._zech = exp, log, zech
         return exp, log, zech
 
@@ -241,6 +280,17 @@ class Field:
 
     def __repr__(self) -> str:
         return f"Field(m={self.m}, modulus={self.modulus.format()!r})"
+
+
+def _digitwise_adder(vec: tuple) -> list[int]:
+    """t[u] = code of u + vec, added digit by digit mod 3, for every code u
+    of len(vec) digits; vec is in tuple order, most significant first."""
+    table = [0]
+    weight = 1
+    for v in reversed(vec):
+        table = [(d + v) % 3 * weight + t for d in range(3) for t in table]
+        weight *= 3
+    return table
 
 
 def _canonical_modulus(m: int) -> Poly:

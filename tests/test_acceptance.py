@@ -46,8 +46,10 @@ def timed(budget, fn, *args, **kwargs):
         (6, 86, 728, 716, 5.0),
         (8, 86, 6560, 6544, 30.0),
         (10, 734, 59048, 59028, 120.0),
+        (11, 248, 177146, 177124, 30.0),
+        (12, 734, 531440, 531416, 30.0),
     ],
-    ids=["m4", "m6", "m8", "m10"],
+    ids=["m4", "m6", "m8", "m10", "m11", "m12"],
 )
 def test_01_certifies_optimal_parameters_in_time(m, e, n, k, budget):
     proc = timed(
@@ -61,11 +63,13 @@ def test_01_certifies_optimal_parameters_in_time(m, e, n, k, budget):
 
 
 @pytest.mark.parametrize(
-    "m,e", [(4, 14), (6, 86), (8, 86), (10, 734)], ids=["m4", "m6", "m8", "m10"]
+    "m,e,budget",
+    [(4, 14, 10.0), (6, 86, 10.0), (8, 86, 10.0), (10, 734, 10.0), (12, 734, 30.0)],
+    ids=["m4", "m6", "m8", "m10", "m12"],
 )
-def test_02_exhaustive_low_weight_search_and_packing_bound(m, e):
+def test_02_exhaustive_low_weight_search_and_packing_bound(m, e, budget):
     proc = timed(
-        10.0, run_cli, "mindist", "--m", str(m), "--e", str(e), "--format", "json"
+        budget, run_cli, "mindist", "--m", str(m), "--e", str(e), "--format", "json"
     )
     assert proc.returncode == 0, proc.stderr
     d = json.loads(proc.stdout)

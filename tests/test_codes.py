@@ -121,10 +121,10 @@ def test_witnesses_are_codewords():
 
 
 def test_search_size_guard():
-    # no Zech tables beyond m = 10, so the search refuses up front
+    # no Zech tables beyond m = 12, so the search refuses up front
     with pytest.raises(ValueError) as exc:
-        min_weight_leq3_search(build_field(11), 14)
-    assert "m <= 10" in str(exc.value)
+        min_weight_leq3_search(build_field(13), 14)
+    assert "m <= 12" in str(exc.value)
 
 
 def _brute_force_light_word(field, e):
@@ -167,12 +167,38 @@ def _brute_force_light_word(field, e):
     return "no_word_below_4", None, None
 
 
+def _weight3_supports(field, e):
+    """The position sets {i, j, k} of every codeword of weight 3."""
+    cols = parity_check_columns(field, e)
+    # a column and its negative both lead to k: the third scalar is free
+    # (for odd e, col_k and -col_k are both columns, n/2 apart)
+    index = {}
+    for k, (a, b) in enumerate(cols):
+        index.setdefault((a, b), []).append(k)
+        index.setdefault((field.neg(a), field.neg(b)), []).append(k)
+    scaled = [
+        [(field.scalar_mul(lam, a), field.scalar_mul(lam, b)) for a, b in cols]
+        for lam in (1, 2)
+    ]
+    n = field.order
+    supports = set()
+    for i in range(n):
+        a, b = cols[i]
+        for j in range(i + 1, n):
+            for c, d in (scaled[0][j], scaled[1][j]):
+                for k in index.get((field.add(a, c), field.add(b, d)), ()):
+                    if k not in (i, j):
+                        supports.add(tuple(sorted((i, j, k))))
+    return supports
+
+
 @pytest.mark.parametrize("m", [3, 4])
 def test_search_matches_brute_force_over_all_triples(m):
-    # the search scans only the row i = 0; the full enumeration must
-    # agree on the verdict and on the first witness for every
-    # non-conjugate exponent
+    # the search scans only the row i = 0 and j <= n // 3; the full
+    # enumeration must agree on the verdict and on the first witness for
+    # every non-conjugate exponent
     field = build_field(m)
+    n = field.order
     conjugates = set(coset(1, 3, m).members)
     clean = 0
     for e in range(1, field.order):
@@ -182,6 +208,15 @@ def test_search_matches_brute_force_over_all_triples(m):
         assert (w.verdict, w.positions, w.values) == _brute_force_light_word(
             field, e
         ), f"e={e}"
+        # the j <= n // 3 bound: rotating the nonzero before a word's
+        # smallest gap to position 0 gives a weight-3 word the scan can
+        # meet, with its second nonzero at j <= n // 3
+        supports = _weight3_supports(field, e)
+        for p, q, r in supports:
+            start = min((q - p, p), (r - q, q), (n - r + p, r))[1]
+            rotated = tuple(sorted((x - start) % n for x in (p, q, r)))
+            assert rotated in supports, (e, p, q, r)
+            assert rotated[0] == 0 and rotated[1] <= n // 3, (e, p, q, r)
         if w.positions is not None:
             s1, s2 = syndrome(field, e, w.positions, w.values)
             assert s1 == field.zero and s2 == field.zero

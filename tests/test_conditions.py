@@ -1,5 +1,7 @@
 """Optimality conditions, exponent families, and cross-oracle agreement."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -118,6 +120,29 @@ def test_table_and_generic_scans_agree_at_m4():
         assert _solutions_table(f4, e, +1) == _solutions_generic(
             f4, e, +1
         )
+
+
+def test_table_scan_matches_direct_arithmetic_sampled_at_m11():
+    # a full generic scan at m = 11 takes minutes, so every solution the
+    # table scan reports and a seeded sample of other x are checked by
+    # square-and-multiply, without logarithms
+    field = build_field(11)
+    e = 248
+    rng = random.Random(248)
+    sample = [tuple(rng.randrange(3) for _ in range(11)) for _ in range(300)]
+    for sign in (-1, +1):
+        solutions = _solutions_table(field, e, sign)
+        assert solutions == ([field.zero] if sign < 0 else [field.one])
+
+        def solves(x):
+            lhs = field._pow_generic(field.add(x, field.one), e)
+            rhs = field.add(field._pow_generic(x, e), field.one)
+            return lhs == (field.neg(rhs) if sign > 0 else rhs)
+
+        for x in solutions:
+            assert solves(x)
+        for x in sample:
+            assert solves(x) == (x in solutions), x
 
 
 def test_the_exponent_122_counterexample():
@@ -275,12 +300,6 @@ def test_verify_family_a_and_b_all_optimal():
         rows = verify_family(name, [5, 7])
         assert len(rows) == 4
         assert all(rep.verdict == "optimal" for _, rep in rows)
-
-
-def test_verify_family_parallel_matches_serial():
-    serial = verify_family("concl-A", [5, 7], workers=1)
-    parallel = verify_family("concl-A", [5, 7], workers=3)
-    assert [(i, r) for i, r in serial] == [(i, r) for i, r in parallel]
 
 
 def test_verify_family_open_problem():

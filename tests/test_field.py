@@ -26,6 +26,8 @@ CANONICAL_MODULI = {
     8: "x^8+x^5-1",
     9: "x^9+x^7-x^6+1",
     10: "x^10+x^9+x^7-1",
+    11: "x^11-x^10+x^9+1",
+    12: "x^12-x^11+x^10+x^9+x^8-1",
 }
 
 f4 = build_field(4)
@@ -42,7 +44,7 @@ def test_canonical_modulus_frozen(m):
     assert field.modulus.is_monic
 
 
-@pytest.mark.parametrize("m", range(2, 11))
+@pytest.mark.parametrize("m", range(2, 13))
 def test_x_generates_the_canonical_field(m):
     field = build_field(m)
     assert field.gen == field._pad((0, 1))
@@ -152,13 +154,26 @@ def test_elements_enumeration():
     assert len(set(els)) == 81
 
 
+def test_encode_decode_round_trip_in_tuple_order():
+    codes = [f4.encode(a) for a in f4.elements()]
+    # elements() runs in tuple order, so code order is tuple order
+    assert codes == list(range(81))
+    for code in codes:
+        assert f4.encode(f4.decode(code)) == code
+    assert f4.encode(f4.one) == 27  # constant term is the top digit
+    assert f4.decode(1) == (0, 0, 0, 1)
+
+
 def test_log_exp_round_trip():
     exp, log, _ = f4.tables()
     assert len(exp) == f4.order
-    for i in (0, 1, 7, 40, 79):
+    assert len(log) == 3**4
+    assert log[f4.encode(f4.zero)] == ZECH_ZERO
+    for i in range(f4.order):
         assert log[exp[i]] == i
-        assert f4.exp_of_generator(i) == exp[i]
+        assert f4.exp_of_generator(i) == f4.decode(exp[i])
     assert f4.log(f4.one) == 0
+    assert f4.log(f4.gen) == 1
 
 
 def test_log_of_zero():
@@ -166,25 +181,56 @@ def test_log_of_zero():
         f4.log(f4.zero)
 
 
+def _check_tables_against_generic_powers(field):
+    # every entry of exp and zech from plain polynomial arithmetic: the
+    # powers come from square-and-multiply, the logs from their positions
+    exp, log, zech = field.tables()
+    n = field.order
+    powers = [field._pow_generic(field.gen, i) for i in range(n)]
+    assert [field.decode(a) for a in exp] == powers
+    position = {p: i for i, p in enumerate(powers)}
+    assert len(position) == n
+    for i in range(n):
+        s = field.add(field.one, powers[i])
+        assert zech[i] == (ZECH_ZERO if s == field.zero else position[s]), i
+        assert log[field.encode(powers[i])] == i
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_tables_match_generic_arithmetic(m):
+    _check_tables_against_generic_powers(Field(m))
+
+
+def test_tables_with_a_generator_other_than_x():
+    # x has order 4 mod x^2+1, so tables() steps by general multiplication
+    field = Field(2, modulus=parse_poly("x^2+1"))
+    assert field.gen != field._pad((0, 1))
+    _check_tables_against_generic_powers(field)
+
+
 def test_zech_table_identity():
     # zech[i] = log(1 + gen^i) wherever 1 + gen^i is nonzero
     exp, log, zech = f4.tables()
     half = f4.order // 2
     assert zech[half] == ZECH_ZERO
-    for i in (0, 1, 2, 39, 41, 78, 79):
-        s = f4.add(f4.one, exp[i])
-        assert zech[i] == log[s]
+    for i in range(f4.order):
+        if i == half:
+            continue
+        s = f4.add(f4.one, f4.decode(exp[i]))
+        assert zech[i] == log[f4.encode(s)]
 
 
 def test_zech_addition_formula():
     # gen^u + gen^v = gen^(u + zech[(v-u) mod n])
     exp, _, zech = f4.tables()
     n = f4.order
-    for u, v in [(3, 10), (0, 5), (50, 12), (79, 1)]:
+    for u, v in [(3, 10), (0, 5), (50, 12), (79, 1), (7, 47)]:
         d = (v - u) % n
+        total = f4.add(f4.decode(exp[u]), f4.decode(exp[v]))
         if zech[d] == ZECH_ZERO:
+            assert total == f4.zero
             continue
-        assert f4.add(exp[u], exp[v]) == exp[(u + zech[d]) % n]
+        assert total == f4.decode(exp[(u + zech[d]) % n])
 
 
 def test_tables_unavailable_above_cap():
