@@ -106,12 +106,14 @@ def _solutions_table(field: Field, e: int, sign: int) -> list[tuple]:
 
 
 def _solutions_generic(field: Field, e: int, sign: int) -> list[tuple]:
-    """Same solution set by direct field arithmetic; no tables needed."""
+    """Same solution set by square-and-multiply on every element.  It reads
+    no exp/log/Zech table, so tests use it as an independent oracle for the
+    table scan; it is far too slow to decide verdicts."""
     sols = []
     one = field.one
     for coeffs in field.elements():
-        lhs = field.pow(field.add(coeffs, one), e)
-        rhs = field.add(field.pow(coeffs, e), one)
+        lhs = field._pow_generic(field.add(coeffs, one), e)
+        rhs = field.add(field._pow_generic(coeffs, e), one)
         if sign > 0:
             rhs = field.neg(rhs)
         if lhs == rhs:
@@ -120,20 +122,22 @@ def _solutions_generic(field: Field, e: int, sign: int) -> list[tuple]:
     return sols
 
 
-def _solutions(field: Field, e: int, sign: int) -> tuple[tuple, ...]:
-    if field.m <= LOG_TABLE_MAX_DEGREE:
-        return tuple(_solutions_table(field, e, sign))
-    return tuple(_solutions_generic(field, e, sign))
+def _require_tables(m: int) -> None:
+    if m > LOG_TABLE_MAX_DEGREE:
+        raise ValueError(
+            f"condition scans need Zech tables, available for m <= "
+            f"{LOG_TABLE_MAX_DEGREE}; got m={m}"
+        )
 
 
 def check_c2(field: Field, e: int) -> tuple[tuple, ...]:
     """All x with (x+1)^e - x^e - 1 = 0, sorted by coefficient sequence."""
-    return _solutions(field, e, -1)
+    return tuple(_solutions_table(field, e, -1))
 
 
 def check_c3(field: Field, e: int) -> tuple[tuple, ...]:
     """All x with (x+1)^e + x^e + 1 = 0, sorted by coefficient sequence."""
-    return _solutions(field, e, +1)
+    return tuple(_solutions_table(field, e, +1))
 
 
 def gcd_chain_check(m: int, h: int) -> int:
@@ -175,8 +179,10 @@ def _derive_h(e: int) -> int | None:
 
 def verify_optimal(field: Field, e: int, h: int | None = None) -> ConditionReport:
     """Full certification of one (m, e); never raises on a failing
-    condition, that is what the verdict is for."""
+    condition, that is what the verdict is for.  m > LOG_TABLE_MAX_DEGREE
+    is refused (ValueError): the scans need Zech tables."""
     m, n = field.m, field.order
+    _require_tables(m)
     if not 1 <= e <= n - 1:
         raise ValueError(f"e must be in [1, {n - 1}], got {e}")
     c1 = check_c1(e)
@@ -272,8 +278,12 @@ def family_instances(name: str, ms: list[int]) -> list[FamilyInstance]:
 def verify_family(
     name: str, ms: list[int]
 ) -> list[tuple[FamilyInstance, ConditionReport]]:
-    """verify_optimal over every instance of a family, in order."""
+    """verify_optimal over every instance of a family, in order; an m
+    above LOG_TABLE_MAX_DEGREE is refused before any instance runs."""
+    instances = family_instances(name, ms)
+    for inst in instances:
+        _require_tables(inst.m)
     return [
         (inst, verify_optimal(build_field(inst.m), inst.e, inst.h))
-        for inst in family_instances(name, ms)
+        for inst in instances
     ]

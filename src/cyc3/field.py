@@ -294,16 +294,15 @@ def _digitwise_adder(vec: tuple) -> list[int]:
 
 
 def _canonical_modulus(m: int) -> Poly:
-    from .gf3poly import monic_polys
-
     n = 3**m - 1
     primes = prime_factors(n) if n > 1 else ()
     # primitive x needs x^(n/2) = -1, and x^(n/2) is the norm (-1)^m * c0;
-    # that fixes the constant term, letting the scan skip doomed candidates
+    # that fixes the constant term.  Only candidates with c0 = required_c0
+    # are built, in monic_polys(m) order, so the first hit is the one a
+    # full scan finds; the two thirds with another c0 cannot be primitive
     required_c0 = 2 if m % 2 == 0 else 1
-    for f in monic_polys(m):
-        if f.coeffs[0] != required_c0:
-            continue
+    for tail in itertools.product(range(3), repeat=m - 1):
+        f = Poly((required_c0,) + tail + (1,))
         if not is_irreducible(f):
             continue
         x = Poly.x() % f

@@ -1,10 +1,22 @@
 """Exact univariate polynomial algebra over GF(3).
 
-Polynomials are immutable and stored as an ascending-degree tuple of
-coefficients in {0, 1, 2}; index i holds the coefficient of x^i.  The zero
-polynomial is the empty tuple and reports degree -1, which sorts below every
-other degree.  Constructor input may use arbitrary ints: signed coefficients
-are reduced mod 3 on ingestion, so -1 becomes 2.
+Polynomials are immutable and stored as two bit planes, two Python ints:
+bit i of the first is set when the coefficient of x^i is 1, bit i of the
+second when it is 2.  Addition works on every coefficient at once with six
+bit operations (bit-sliced arithmetic: Harrison, Page and Smart, LMS J.
+Comput. Math. 5, 2002); subtraction swaps the other operand's planes, since
+that negates it.  Multiplication adds one shifted copy of the denser operand
+per nonzero term of the sparser one, and division cancels the top term found
+by bit_length(), so zero coefficients cost nothing.  Cubing is the Frobenius
+map, a(x)^3 = a(x^3), which spreads each plane's bits three apart; iterated
+Frobenius powers reduce once per cubing instead of multiplying.
+
+Callers see `coeffs`, the ascending-degree tuple of coefficients in
+{0, 1, 2} (index i holds the coefficient of x^i), derived from the planes
+on first use and cached.  The zero polynomial is the empty
+tuple and reports degree -1, which sorts below every other degree.
+Constructor input may be any iterable of ints: signed coefficients are
+reduced mod 3 on ingestion, so -1 becomes 2.
 
 Two text forms are accepted wherever a polynomial is read: a human form like
 "x^6-x^5+x^3+1" (spaces optional) and a list form like "1,0,0,1,0,2,1" giving
@@ -33,16 +45,26 @@ class PolyParseError(ValueError):
         self.position = position
 
 
-class Poly:
-    """A dense polynomial over GF(3)."""
+# digit strings, most significant first, to the bits of one plane
+_ONES = str.maketrans("2", "0")
+_TWOS = str.maketrans("12", "01")
+# (bit of the ones plane, bit of the twos plane) -> coefficient
+_DIGIT = {("0", "0"): 0, ("1", "0"): 1, ("0", "1"): 2}
 
-    __slots__ = ("coeffs",)
+
+class Poly:
+    """A dense polynomial over GF(3), stored as two bit planes."""
+
+    __slots__ = ("_p1", "_p2", "_coeffs")
 
     def __init__(self, coeffs=()):
         cs = [c % 3 for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(cs)
+        digits = "".join(map(str, reversed(cs))) or "0"
+        self._p1 = int(digits.translate(_ONES), 2)
+        self._p2 = int(digits.translate(_TWOS), 2)
+        self._coeffs = tuple(cs)
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -61,37 +83,59 @@ class Poly:
         return parse_poly(text)
 
     @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Ascending coefficients, trailing zeros dropped."""
+        cs = self._coeffs
+        if cs is None:
+            n = self.degree + 1
+            if n:
+                ones = format(self._p1, f"0{n}b")[::-1]
+                twos = format(self._p2, f"0{n}b")[::-1]
+                cs = tuple(map(_DIGIT.__getitem__, zip(ones, twos)))
+            else:
+                cs = ()
+            self._coeffs = cs
+        return cs
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return max(self._p1.bit_length(), self._p2.bit_length()) - 1
 
     @property
     def lc(self) -> int:
         """Leading coefficient; 0 for the zero polynomial."""
-        return self.coeffs[-1] if self.coeffs else 0
+        n1, n2 = self._p1.bit_length(), self._p2.bit_length()
+        return 1 if n1 > n2 else 2 if n2 else 0
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not (self._p1 or self._p2)
 
     @property
     def is_monic(self) -> bool:
-        return self.lc == 1
+        return self._p1.bit_length() > self._p2.bit_length()
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._p1 or self._p2)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._p1 == other._p1 and self._p2 == other._p2
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self._p1, self._p2))
 
     def __lt__(self, other) -> bool:
+        """Order by degree, then by coefficient sequence from x^0 up."""
         if not isinstance(other, Poly):
             return NotImplemented
-        return (self.degree, self.coeffs) < (other.degree, other.coeffs)
+        da, db = self.degree, other.degree
+        if da != db:
+            return da < db
+        diff = (self._p1 ^ other._p1) | (self._p2 ^ other._p2)
+        low = diff & -diff  # lowest power where the two differ
+        return _coeff_at(self, low) < _coeff_at(other, low)
 
     def __repr__(self) -> str:
         return f"Poly({self.format()!r})"
@@ -102,37 +146,38 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % 3
-        return Poly(out)
+        return _poly(*_add(self._p1, self._p2, other._p1, other._p2))
 
     def __neg__(self) -> "Poly":
-        return Poly((-c) % 3 for c in self.coeffs)
+        return _poly(self._p2, self._p1)
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        return self + (-other)
+        return _poly(*_add(self._p1, self._p2, other._p2, other._p1))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return Poly((other * c) % 3 for c in self.coeffs)
+            c = other % 3
+            return self if c == 1 else -self if c else Poly()
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = (out[i + j] + ai * bj) % 3
-        return Poly(out)
+        a, b = self, other
+        if _weight(a) > _weight(b):
+            a, b = b, a
+        # add a shifted copy of b per nonzero term of a; a term with
+        # coefficient 2 adds -b, whose planes are b's swapped
+        b1, b2 = b._p1, b._p2
+        s1 = s2 = 0
+        for i in _bits(a._p1):
+            x1, x2 = b1 << i, b2 << i
+            t = (s1 | x2) ^ (s2 | x1)  # _add, inlined
+            s1, s2 = (s2 | x2) ^ t, (s1 | x1) ^ t
+        for i in _bits(a._p2):
+            x1, x2 = b2 << i, b1 << i
+            t = (s1 | x2) ^ (s2 | x1)
+            s1, s2 = (s2 | x2) ^ t, (s1 | x1) ^ t
+        return _poly(s1, s2)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -151,33 +196,28 @@ class Poly:
             n >>= 1
         return result
 
+    def cube(self) -> "Poly":
+        """self**3, which is self(x^3) in characteristic 3: each plane's
+        bits spread three apart."""
+        return _poly(_spread(self._p1), _spread(self._p2))
+
     def __divmod__(self, other: "Poly"):
         if not isinstance(other, Poly):
             return NotImplemented
-        if not other.coeffs:
-            raise ZeroDivisionError("division by zero polynomial")
-        d = other.degree
-        if self.degree < d:
-            return Poly(), self
-        r = list(self.coeffs)
-        q = [0] * (self.degree - d + 1)
-        bc = other.coeffs
-        inv_lc = bc[-1]  # 1 and 2 are both self-inverse mod 3
-        for i in range(len(r) - 1, d - 1, -1):
-            c = r[i]
-            if c:
-                f = (c * inv_lc) % 3
-                q[i - d] = f
-                for j in range(d + 1):
-                    if bc[j]:
-                        r[i - d + j] = (r[i - d + j] - f * bc[j]) % 3
-        return Poly(q), Poly(r[:d])
+        q1: list[int] = []
+        q2: list[int] = []
+        r = _reduce(self, other, q1, q2)
+        # _reduce divided by lc * other, and lc is its own inverse mod 3
+        q = _poly(_from_bits(q1), _from_bits(q2)) * other.lc
+        return q, r
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
 
     def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return _reduce(self, other)
 
     def __call__(self, x: int) -> int:
         """Evaluate at a GF(3) point by Horner's rule."""
@@ -187,11 +227,15 @@ class Poly:
         return acc
 
     def derivative(self) -> "Poly":
-        return Poly((i * c) % 3 for i, c in enumerate(self.coeffs) if i >= 1)
+        # i * c_i is c_i for i = 1 mod 3, -c_i for i = 2 mod 3, else 0
+        m1 = (1 << 3 * (self.degree // 3 + 1)) // 7 << 1  # bits 1, 4, 7, ...
+        m2 = m1 << 1
+        p1, p2 = self._p1, self._p2
+        return _poly(((p1 & m1) | (p2 & m2)) >> 1, ((p2 & m1) | (p1 & m2)) >> 1)
 
     def monic(self) -> tuple[int, "Poly"]:
         """Split into (unit, monic polynomial) with self == unit * monic."""
-        if not self.coeffs:
+        if self.is_zero:
             raise ValueError("zero polynomial has no monic form")
         u = self.lc
         if u == 1:
@@ -200,6 +244,88 @@ class Poly:
 
     def format(self, style: str = "human") -> str:
         return format_poly(self, style)
+
+
+_new = object.__new__
+
+
+def _poly(p1: int, p2: int) -> Poly:
+    p = _new(Poly)
+    p._p1 = p1
+    p._p2 = p2
+    p._coeffs = None
+    return p
+
+
+def _add(a1: int, a2: int, b1: int, b2: int) -> tuple[int, int]:
+    """Planes of a + b, six bit operations for every coefficient at once."""
+    t = (a1 | b2) ^ (a2 | b1)
+    return (a2 | b2) ^ t, (a1 | b1) ^ t
+
+
+def _reduce(a: Poly, b: Poly, q1: list | None = None, q2: list | None = None) -> Poly:
+    """a mod b, cancelling the top term of a until its degree drops below
+    b's; with lists q1, q2, also collect the powers of x whose coefficient
+    is 1 (q1) or 2 (q2) in the quotient of a by the monic lc(b) * b."""
+    if b.is_zero:
+        raise ZeroDivisionError("division by zero polynomial")
+    g1, g2 = (b._p1, b._p2) if b.lc == 1 else (b._p2, b._p1)
+    size = b.degree + 1
+    r1, r2 = a._p1, a._p2
+    while True:
+        # the top term c*x^(s+deg g) goes by subtracting c*x^s*g
+        n1, n2 = r1.bit_length(), r2.bit_length()
+        if n1 > n2:
+            s = n1 - size
+            if s < 0:
+                break
+            if q1 is not None:
+                q1.append(s)
+            x1, x2 = g2 << s, g1 << s
+        else:
+            s = n2 - size
+            if s < 0:
+                break
+            if q2 is not None:
+                q2.append(s)
+            x1, x2 = g1 << s, g2 << s
+        t = (r1 | x2) ^ (r2 | x1)  # _add, inlined in the hot loops
+        r1, r2 = (r2 | x2) ^ t, (r1 | x1) ^ t
+    return _poly(r1, r2)
+
+
+def _from_bits(positions: list[int]) -> int:
+    """The int whose set bits are the given positions; inverse of _bits."""
+    v = 0
+    for i in positions:
+        v |= 1 << i
+    return v
+
+
+def _bits(v: int) -> list[int]:
+    """Positions of the set bits of v."""
+    s = bin(v)
+    top = len(s) - 1
+    return [top - i for i, ch in enumerate(s) if ch == "1"]
+
+
+def _weight(p: Poly) -> int:
+    return p._p1.bit_count() + p._p2.bit_count()
+
+
+def _coeff_at(p: Poly, bit: int) -> int:
+    return 1 if p._p1 & bit else 2 if p._p2 & bit else 0
+
+
+def _spread(v: int) -> int:
+    """Bit i of v moved to bit 3i."""
+    return int("00".join(bin(v)[2:]), 2)
+
+
+def _compress(v: int) -> int:
+    """Bit 3i of v moved to bit i; the inverse of _spread."""
+    s = bin(v)[2:]
+    return int(s[len(s) - 1 :: -3][::-1], 2)
 
 
 @dataclass(frozen=True)
@@ -378,7 +504,7 @@ def frobenius_power(a: Poly, d: int, modulus: Poly) -> Poly:
     if modulus.degree < 1:
         raise ValueError("modulus must have degree >= 1")
     for _ in range(d):
-        r = powmod(r, 3, modulus)
+        r = r.cube() % modulus
     return r
 
 
@@ -421,7 +547,7 @@ def is_irreducible(f: Poly) -> bool:
 
 def _cube_root(f: Poly) -> Poly:
     # valid when f' == 0, i.e. only exponents divisible by 3 appear
-    return Poly(f.coeffs[::3])
+    return _poly(_compress(f._p1), _compress(f._p2))
 
 
 def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
@@ -465,7 +591,7 @@ def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
     d = 0
     while v.degree >= 2 * (d + 1):
         d += 1
-        xq = powmod(xq, 3, f)
+        xq = xq.cube() % f
         g = poly_gcd(xq - x, v)
         if g.degree > 0:
             out.append((g, d))

@@ -1,12 +1,15 @@
 """Command-line behavior: formats, exit codes, determinism."""
 
 import json
+import math
 import subprocess
 import sys
+import time
 
 import pytest
 
 from cyc3.cli import main
+from cyc3.gf3poly import Poly, is_irreducible, parse_poly
 
 
 def run_cli(capsys, *argv):
@@ -64,6 +67,64 @@ def test_factor_round_trip(capsys):
         "x+1", "x-1", "x^2+1", "x^2+x-1", "x^2-x-1",
     ]
     assert d["irreducible"] is False
+
+
+def _cyclotomic_factor_degrees(n):
+    # x^n - 1 with 3 not dividing n: for each divisor t of n, phi(t) / ord_t(3)
+    # irreducible factors of degree ord_t(3)
+    degrees = []
+    for t in range(1, n + 1):
+        if n % t:
+            continue
+        phi = sum(1 for k in range(1, t + 1) if math.gcd(k, t) == 1)
+        order, power = 1, 3 % t
+        while power != 1 % t:
+            power, order = power * 3 % t, order + 1
+        degrees += [order] * (phi // order)
+    return sorted(degrees)
+
+
+def test_factor_x2000_minus_1_within_budget(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "factor", "--poly", "x^2000-1", "--format", "json")
+    assert time.perf_counter() - start < 20
+    assert code == 0
+    d = json.loads(out)
+    product = Poly((d["unit"],))
+    for f in d["factors"]:
+        product = product * parse_poly(f["poly"]) ** f["multiplicity"]
+    assert product == parse_poly("x^2000-1")
+    assert sorted(f["degree"] for f in d["factors"]) == _cyclotomic_factor_degrees(2000)
+
+
+def test_field_info_m20_within_budget(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "field-info", "--m", "20", "--format", "json")
+    assert time.perf_counter() - start < 20
+    assert code == 0
+    d = json.loads(out)
+    modulus = parse_poly(d["modulus"])
+    assert modulus.degree == 20 and is_irreducible(modulus)
+    assert d["generator"] == ",".join(["0", "1"] + ["0"] * 18)
+    assert d["logTables"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--m", "13", "--e", "14"],
+        ["family", "--name", "concl-A", "--m-list", "5,13"],
+        ["family", "--name", "open-problem", "--m-list", "4,14"],
+        ["search", "--m", "13", "--e-range", "2..100"],
+    ],
+)
+def test_scans_above_the_table_cap_are_refused(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out == ""
+    assert "m <= 12" in err
 
 
 def test_factor_parse_error_exit_two(capsys):

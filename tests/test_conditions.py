@@ -20,7 +20,7 @@ from cyc3.conditions import (
     verify_optimal,
 )
 from cyc3.cosets import coset
-from cyc3.field import Field, build_field
+from cyc3.field import ZECH_ZERO, Field, build_field
 from cyc3.gf3poly import Poly, parse_poly
 
 f4 = build_field(4)
@@ -120,6 +120,36 @@ def test_table_and_generic_scans_agree_at_m4():
         assert _solutions_table(f4, e, +1) == _solutions_generic(
             f4, e, +1
         )
+
+
+def test_generic_scan_reads_no_table():
+    # the oracle must not share the exp/log tables with the scan it checks:
+    # on a field whose tables are scrambled it still finds every solution
+    field = Field(4)
+    exp, log, _ = field.tables()
+    field._exp = exp[1:] + exp[:1]
+    field._log = [ZECH_ZERO] + [(i + 7) % field.order for i in log[1:]]
+    for e in (4, 14, 22):
+        for sign in (-1, +1):
+            assert _solutions_generic(field, e, sign) == _solutions_table(
+                f4, e, sign
+            )
+
+
+def test_scans_refused_above_the_table_cap(monkeypatch):
+    # a family naming m = 13 is refused before any instance is verified
+    import cyc3.conditions
+
+    calls = []
+    monkeypatch.setattr(
+        cyc3.conditions, "verify_optimal", lambda *a: calls.append(a)
+    )
+    with pytest.raises(ValueError, match="m <= 12"):
+        verify_family("concl-A", [5, 13])
+    assert calls == []
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="m <= 12; got m=13"):
+        verify_optimal(Field(13), 14)
 
 
 def test_table_scan_matches_direct_arithmetic_sampled_at_m11():

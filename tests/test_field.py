@@ -9,9 +9,17 @@ from cyc3.field import (
     MAX_DEGREE,
     ZECH_ZERO,
     Field,
+    _canonical_modulus,
     build_field,
 )
-from cyc3.gf3poly import Poly, is_irreducible, parse_poly
+from cyc3.gf3poly import (
+    Poly,
+    is_irreducible,
+    monic_polys,
+    parse_poly,
+    powmod,
+    prime_factors,
+)
 
 # one frozen modulus per extension degree; the constructor must keep
 # picking exactly these or every logged exponent in the suite shifts
@@ -42,6 +50,26 @@ def test_canonical_modulus_frozen(m):
     assert field.modulus.format() == CANONICAL_MODULI[m]
     assert is_irreducible(field.modulus)
     assert field.modulus.is_monic
+
+
+def _first_primitive_modulus_by_full_scan(m):
+    # every monic candidate in order, whatever its constant term
+    n = 3**m - 1
+    for f in monic_polys(m):
+        if not is_irreducible(f):
+            continue
+        x = Poly.x() % f
+        if m == 1:
+            if x == Poly((2,)):
+                return f
+        elif all(powmod(x, n // q, f) != Poly.one() for q in prime_factors(n)):
+            return f
+    raise AssertionError(f"no primitive modulus of degree {m}")
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_modulus_search_skipping_constant_terms_finds_the_full_scan_hit(m):
+    assert _canonical_modulus(m) == _first_primitive_modulus_by_full_scan(m)
 
 
 @pytest.mark.parametrize("m", range(2, 13))

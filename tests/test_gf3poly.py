@@ -26,8 +26,75 @@ coeff_lists = st.lists(st.integers(min_value=0, max_value=2), max_size=9)
 polys = coeff_lists.map(lambda cs: Poly(tuple(cs)))
 nonzero_polys = polys.filter(lambda p: not p.is_zero)
 
+
+def sized_lists(elements, max_size):
+    # draw the length first: a plain st.lists averages about five elements
+    return st.integers(min_value=0, max_value=max_size).flatmap(
+        lambda n: st.lists(elements, min_size=n, max_size=n)
+    )
+
+
+digits = st.integers(min_value=0, max_value=2)
+# degrees up to 200: the bit planes run well past one 30-bit int digit
+long_lists = sized_lists(digits, 201)
+long_nonzero_lists = long_lists.filter(any)
+
 X = Poly.x()
 ONE = Poly.one()
+
+
+# -- schoolbook reference on coefficient lists ------------------------------
+# The engine stores bit planes; these work digit by digit on ascending
+# coefficient lists and share no code with it.
+
+
+def ref_trim(a):
+    a = [c % 3 for c in a]
+    while a and a[-1] == 0:
+        a.pop()
+    return tuple(a)
+
+
+def ref_add(a, b):
+    out = [0] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += c
+    return ref_trim(out)
+
+
+def ref_neg(a):
+    return ref_trim(-c for c in a)
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return ref_trim(out)
+
+
+def ref_divmod(a, b):
+    b = ref_trim(b)
+    d = len(b) - 1
+    r = list(ref_trim(a))
+    if len(r) - 1 < d:
+        return (), tuple(r)
+    q = [0] * (len(r) - d)
+    for i in range(len(r) - 1, d - 1, -1):
+        f = r[i] * b[-1] % 3  # 1 and 2 are their own inverses mod 3
+        q[i - d] = f
+        for j, bj in enumerate(b):
+            r[i - d + j] = (r[i - d + j] - f * bj) % 3
+    return ref_trim(q), ref_trim(r[:d])
+
+
+def ref_derivative(a):
+    return ref_trim(i * c for i, c in enumerate(a))[1:]
 
 
 def test_constructor_canonicalizes():
@@ -323,3 +390,92 @@ def test_prime_factors_distinct_ascending():
     assert prime_factors(242) == (2, 11)
     assert prime_factors(2) == (2,)
     assert prime_factors(1) == ()
+
+
+# -- the bit-plane engine against the schoolbook reference -----------------
+
+
+@given(sized_lists(st.integers(min_value=-10, max_value=10), 201))
+@settings(max_examples=50)
+def test_coeffs_round_trip_signed_ints(cs):
+    p = Poly(cs)
+    assert p.coeffs == ref_trim(cs)
+    assert p.degree == len(p.coeffs) - 1
+    assert p.lc == (p.coeffs[-1] if p.coeffs else 0)
+    assert Poly(p.coeffs) == p
+
+
+@given(long_lists, long_lists)
+@settings(max_examples=50)
+def test_add_sub_neg_match_reference(a, b):
+    f, g = Poly(a), Poly(b)
+    assert (f + g).coeffs == ref_add(a, b)
+    assert (f - g).coeffs == ref_add(a, ref_neg(b))
+    assert (-f).coeffs == ref_neg(a)
+
+
+@given(long_lists, long_lists, st.integers(min_value=-4, max_value=4))
+@settings(max_examples=60)
+def test_mul_matches_reference(a, b, k):
+    f, g = Poly(a), Poly(b)
+    assert (f * g).coeffs == ref_mul(a, b)
+    assert (f * k).coeffs == ref_trim(k * c for c in a)
+    assert (k * f) == f * k
+
+
+@given(long_lists, long_nonzero_lists, st.booleans())
+@settings(max_examples=60)
+def test_divmod_matches_reference(a, b, monic):
+    b = list(ref_trim(b))
+    b[-1] = 1 if monic else 2
+    q, r = divmod(Poly(a), Poly(b))
+    assert (q.coeffs, r.coeffs) == ref_divmod(a, b)
+    assert Poly(a) % Poly(b) == r
+    assert Poly(a) // Poly(b) == q
+
+
+@given(long_lists)
+@settings(max_examples=50)
+def test_derivative_matches_reference(a):
+    assert Poly(a).derivative().coeffs == ref_derivative(a)
+
+
+@given(long_lists)
+@settings(max_examples=40)
+def test_cube_is_pow_three_and_spreads_coefficients(a):
+    f = Poly(a)
+    spread = [0] * (3 * len(a))
+    spread[::3] = a
+    assert f.cube().coeffs == ref_trim(spread)
+    assert f ** 3 == f.cube()
+    assert f.cube().coeffs == ref_mul(ref_mul(a, a), a)
+
+
+@given(
+    sized_lists(digits, 120),
+    sized_lists(digits, 60).filter(len),
+    st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=40)
+def test_frobenius_power_matches_reference(a, tail, d):
+    mod = tail + [1]
+    expected = ref_divmod(a, mod)[1]
+    for _ in range(d):
+        expected = ref_divmod(ref_mul(ref_mul(expected, expected), expected), mod)[1]
+    assert frobenius_power(Poly(a), d, Poly(mod)).coeffs == expected
+
+
+@given(long_lists, long_lists, st.integers(min_value=0, max_value=201))
+@settings(max_examples=50)
+def test_order_and_hash_follow_the_coefficient_tuples(a, b, k):
+    # c keeps a's length and its first k coefficients, so most pairs (a, c)
+    # tie on degree and are ordered by a coefficient
+    c = (a[:k] + b + a)[: len(a)]
+    for u, v in ((a, b), (a, c), (a, a)):
+        f, g = Poly(u), Poly(v)
+        key_f = (len(ref_trim(u)), ref_trim(u))
+        key_g = (len(ref_trim(v)), ref_trim(v))
+        assert (f < g) == (key_f < key_g)
+        assert (f == g) == (key_f == key_g)
+        if f == g:
+            assert hash(f) == hash(g)
