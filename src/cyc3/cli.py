@@ -104,13 +104,14 @@ def _cmd_field_info(args):
     from .gf3poly import prime_factors
 
     primes = prime_factors(field.order) if field.order > 1 else ()
+    generator = field.format_element(field.exp_of_generator(1))
     payload = _wrap(
         "field-info",
         {
             "m": field.m,
             "order": field.order,
             "modulus": field.modulus.format(),
-            "generator": field.format_element(field.gen),
+            "generator": generator,
             "orderPrimeFactors": list(primes),
             "logTables": field.m <= LOG_TABLE_MAX_DEGREE,
         },
@@ -118,7 +119,7 @@ def _cmd_field_info(args):
     text = [
         f"GF(3^{field.m}): order of multiplicative group = {field.order}",
         f"modulus: {field.modulus.format()}",
-        f"generator: {field.format_element(field.gen)}",
+        f"generator: {generator}",
         f"prime factors of the order: {', '.join(map(str, primes)) or 'none'}",
         f"log/Zech tables available: {_bool_text(field.m <= LOG_TABLE_MAX_DEGREE)}",
     ]

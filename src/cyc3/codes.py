@@ -65,27 +65,26 @@ def build_code(field: Field, e: int) -> CodeSpec:
     return CodeSpec(field.m, e, n, gen, n - gen.degree)
 
 
-def parity_check_columns(field: Field, e: int) -> list[tuple[tuple, tuple]]:
-    """Column j = (alpha^j, alpha^(ej)) for j in [0, n)."""
-    n = field.order
-    a = field.one
-    b = field.one
-    ae = field.pow(field.gen, e)
+def parity_check_columns(field: Field, e: int) -> list[tuple[Poly, Poly]]:
+    """Column j = (alpha^j, alpha^(ej)) for j in [0, n), stepped by
+    multiplication rather than read from the tables."""
+    mod = field.modulus
+    alpha, alpha_e = field.exp_of_generator(1), field.exp_of_generator(e)
+    a = b = field.one
     cols = []
-    for _ in range(n):
+    for _ in range(field.order):
         cols.append((a, b))
-        a = field.mul(a, field.gen)
-        b = field.mul(b, ae)
+        a = a * alpha % mod
+        b = b * alpha_e % mod
     return cols
 
 
-def syndrome(field: Field, e: int, positions, values) -> tuple[tuple, tuple]:
+def syndrome(field: Field, e: int, positions, values) -> tuple[Poly, Poly]:
     """The two syndrome sums of a sparse word given as positions/values."""
-    s1 = field.zero
-    s2 = field.zero
+    s1 = s2 = field.zero
     for pos, val in zip(positions, values):
-        s1 = field.add(s1, field.scalar_mul(val, field.pow(field.gen, pos)))
-        s2 = field.add(s2, field.scalar_mul(val, field.pow(field.gen, e * pos)))
+        s1 += field.exp_of_generator(pos) * val
+        s2 += field.exp_of_generator(e * pos) * val
     return s1, s2
 
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from .codes import build_code
 from .cosets import coset
 from .field import LOG_TABLE_MAX_DEGREE, Field, build_field
+from .gf3poly import Poly, powmod
 
 # Readings of the ambiguous constant in family C, as (tag, value-for-m).
 FAMILY_C_READINGS = (
@@ -46,8 +47,8 @@ class ConditionReport:
     c1: bool
     coset_ok: bool
     gcd_value: int
-    c2_solutions: tuple[tuple, ...]
-    c3_solutions: tuple[tuple, ...]
+    c2_solutions: tuple[Poly, ...]
+    c3_solutions: tuple[Poly, ...]
     verdict: str  # "optimal" or "not_optimal"
     parameters: tuple[int, int, int] | None
     modulus: str
@@ -78,18 +79,19 @@ def check_c1(e: int) -> bool:
     return e % 2 == 0
 
 
-def _solutions_table(field: Field, e: int, sign: int) -> list[tuple]:
-    """Solutions of (x+1)^e + sign*(x^e + 1) = 0 via Zech logarithms."""
-    _, _, zech = field.tables()
+def _solutions_table(field: Field, e: int, sign: int) -> list[Poly]:
+    """Solutions of (x+1)^e + sign*(x^e + 1) = 0 via Zech logarithms, in
+    code order."""
+    exp, _, zech = field.tables()
     n = field.order
     half = n // 2
     emod = e % n
-    sols = []
+    codes = []
     if sign < 0:
-        sols.append(field.zero)  # (0+1)^e - 0 - 1 = 0 always
+        codes.append(0)  # x = 0: (0+1)^e - 0 - 1 = 0 always
     # x = -1 solves both variants iff e is odd: 0 +- ((-1)^e + 1)
     if emod * half % n == half:
-        sols.append(field.exp_of_generator(half))
+        codes.append(exp[half])
     offset = 0 if sign < 0 else half  # RHS is +-(x^e + 1)
     ie = 0
     for i in range(n):
@@ -99,26 +101,23 @@ def _solutions_table(field: Field, e: int, sign: int) -> list[tuple]:
         if ie != half:
             # (x+1)^e = alpha^(zech[i]*e); +-(x^e+1) = alpha^(zech[ie]+offset)
             if zech[i] * emod % n == (zech[ie] + offset) % n:
-                sols.append(field.exp_of_generator(i))
+                codes.append(exp[i])
         ie = (ie + emod) % n
-    sols.sort()
-    return sols
+    codes.sort()
+    return list(map(field.decode, codes))
 
 
-def _solutions_generic(field: Field, e: int, sign: int) -> list[tuple]:
+def _solutions_generic(field: Field, e: int, sign: int) -> list[Poly]:
     """Same solution set by square-and-multiply on every element.  It reads
     no exp/log/Zech table, so tests use it as an independent oracle for the
     table scan; it is far too slow to decide verdicts."""
+    one, modulus = field.one, field.modulus
     sols = []
-    one = field.one
-    for coeffs in field.elements():
-        lhs = field._pow_generic(field.add(coeffs, one), e)
-        rhs = field.add(field._pow_generic(coeffs, e), one)
-        if sign > 0:
-            rhs = field.neg(rhs)
-        if lhs == rhs:
-            sols.append(coeffs)
-    sols.sort()
+    for x in field.elements():  # code order
+        lhs = powmod(x + one, e, modulus)
+        rhs = powmod(x, e, modulus) + one
+        if lhs == (-rhs if sign > 0 else rhs):
+            sols.append(x)
     return sols
 
 
@@ -130,13 +129,13 @@ def _require_tables(m: int) -> None:
         )
 
 
-def check_c2(field: Field, e: int) -> tuple[tuple, ...]:
-    """All x with (x+1)^e - x^e - 1 = 0, sorted by coefficient sequence."""
+def check_c2(field: Field, e: int) -> tuple[Poly, ...]:
+    """All x with (x+1)^e - x^e - 1 = 0, in code order."""
     return tuple(_solutions_table(field, e, -1))
 
 
-def check_c3(field: Field, e: int) -> tuple[tuple, ...]:
-    """All x with (x+1)^e + x^e + 1 = 0, sorted by coefficient sequence."""
+def check_c3(field: Field, e: int) -> tuple[Poly, ...]:
+    """All x with (x+1)^e + x^e + 1 = 0, in code order."""
     return tuple(_solutions_table(field, e, +1))
 
 

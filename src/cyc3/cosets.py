@@ -52,7 +52,12 @@ def coset(j: int, p: int, m: int) -> Coset:
 
 
 def cosets_partition(p: int, m: int) -> list[Coset]:
-    """All cosets mod p^m - 1, sorted by leader; they partition [0, p^m-1)."""
+    """All cosets mod p^m - 1, sorted by leader; they partition [0, p^m-1).
+
+    No command uses it: it is the leader oracle that the tests and
+    perfbench/make_reference.py check other enumerations of coset leaders
+    (and the minimal polynomials of x^n - 1) against.
+    """
     n = p**m - 1
     seen = [False] * n
     out = []
@@ -102,22 +107,23 @@ def minimal_polynomial(field: Field, i: int) -> Poly:
     cached = field._minpoly_cache.get(c.leader)
     if cached is not None:
         return cached
-    # product over conjugates, accumulated with field coefficients
+    # product over conjugates, with coefficients in the field
+    mod = field.modulus
     poly = [field.one]
     for j in c.members:
         root = field.exp_of_generator(j)
-        nxt = [field.zero] * (len(poly) + 1)
+        nxt = [field.zero] + poly  # x * poly
         for d, coeff in enumerate(poly):
-            nxt[d + 1] = field.add(nxt[d + 1], coeff)
-            nxt[d] = field.sub(nxt[d], field.mul(coeff, root))
+            nxt[d] -= coeff * root % mod
         poly = nxt
     base_coeffs = []
     for coeff in poly:
-        if any(coeff[1:]):
+        if coeff.degree > 0:
             raise RuntimeError(
-                f"minimal polynomial coefficient {coeff} left the base field"
+                f"minimal polynomial coefficient {field.format_element(coeff)} "
+                f"left the base field"
             )
-        base_coeffs.append(coeff[0])
+        base_coeffs.append(coeff.lc)
     result = Poly(base_coeffs)
     field._minpoly_cache[c.leader] = result
     return result

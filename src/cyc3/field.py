@@ -1,14 +1,13 @@
-"""GF(3^m) construction and exact element arithmetic.
+"""GF(3^m) construction, element codes and log/Zech tables.
 
-Elements are length-m tuples of coefficients in {0, 1, 2}, ascending degree,
-representing residues mod a monic irreducible modulus of degree m; the
-arithmetic, the generator and the text forms all use tuples.  The canonical
-modulus for each m is the first monic irreducible, in ascending
-coefficient-sequence order, whose residue class of x is primitive; the
-canonical generator is then x itself.  An explicit modulus may be supplied
-instead, in which case a primitive generator is discovered by search.  Every
-verified statement is representation independent, so reports always record
-the modulus in use.
+An element is a reduced residue: a `Poly` of degree below m modulo a monic
+irreducible modulus of degree m, with the ring operations of `gf3poly`
+(`+`, `-`, `* int`, and `a * b % field.modulus`).  The canonical modulus
+for each m is the first monic irreducible, in ascending coefficient-sequence
+order, whose residue class of x is primitive; the canonical generator is
+then x itself.  An explicit modulus may be supplied instead, in which case
+a primitive generator is discovered by search.  Every verified statement is
+representation independent, so reports always record the modulus in use.
 
 For m up to LOG_TABLE_MAX_DEGREE the field can build exponent, discrete-log,
 and Zech-logarithm tables.  The Zech table turns addition of two generator
@@ -17,13 +16,14 @@ alpha^(u + zech[(v-u) mod n]), with a -1 sentinel where the sum is zero.
 That is what makes the exhaustive equation scans and the weight search fast
 enough in pure Python.
 
-The tables hold elements as integer codes, not tuples: an element's code is
-its coefficient tuple read as a base-3 numeral with the constant term as
-the most significant digit, so code order is tuple order (encode/decode
-convert).  Multiplying by x then shifts the code one digit down and adds a
-multiple of the modulus tail digit by digit through two lookup tables, and
-adding 1 changes only the top digit, which makes the Zech table a single
-gather from the flat log table.
+The tables hold elements as integer codes: an element's code is its
+coefficient sequence c0, c1, ..., c(m-1) read as a base-3 numeral with the
+constant term as the most significant digit (encode/decode convert, and
+elements() runs in code order).  Multiplying by x then shifts the code one
+digit down and adds a multiple of the modulus tail digit by digit through
+two lookup tables, and adding 1 changes only the top digit, which makes the
+Zech table a single gather from the flat log table.  The same digits,
+comma-joined, are the text form of an element (format_element).
 
 Degrees are capped at MAX_DEGREE so every exponent and order fits
 comfortably in machine integers.
@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, lru_cache
 
-from .gf3poly import Poly, is_irreducible, powmod, prime_factors
+from .gf3poly import Poly, _poly, is_irreducible, powmod, prime_factors
 
 MAX_DEGREE = 20
 LOG_TABLE_MAX_DEGREE = 12
@@ -44,7 +44,8 @@ ZECH_ZERO = -1
 
 
 class Field:
-    """Arithmetic context for GF(3^m) with a fixed primitive generator."""
+    """GF(3^m) with a fixed primitive generator alpha; elements are
+    reduced `Poly` residues."""
 
     def __init__(self, m: int, modulus: Poly | None = None):
         if not 1 <= m <= MAX_DEGREE:
@@ -62,12 +63,12 @@ class Field:
                 raise ValueError(f"modulus {modulus.format()} is reducible")
             self.modulus = modulus
             gen_poly = self._find_generator()
-        self._mod_tail = modulus.coeffs[:m]
-        self.zero = (0,) * m
-        self.one = self._pad(Poly.one().coeffs)
-        self.gen = self._pad(gen_poly.coeffs)
-        self._gen_is_x = m >= 2 and gen_poly == Poly.x()
-        self._order_primes = prime_factors(self.order) if self.order > 1 else ()
+        self.zero = Poly.zero()
+        self.one = Poly.one()
+        self._alpha = gen_poly
+        # the generator's padded coefficient tuple, as the benchmark's
+        # field summary reads it; exp_of_generator(1) is the element
+        self.gen = gen_poly.coeffs + (0,) * (m - len(gen_poly.coeffs))
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._zech: list[int] | None = None
@@ -76,9 +77,6 @@ class Field:
             raise ValueError("generator is not primitive")  # pragma: no cover
 
     # -- construction helpers ------------------------------------------------
-
-    def _pad(self, coeffs) -> tuple:
-        return tuple(coeffs) + (0,) * (self.m - len(coeffs))
 
     def _has_order_n(self, a: Poly) -> bool:
         if powmod(a, self.order, self.modulus) != Poly.one():
@@ -92,126 +90,54 @@ class Field:
         x = Poly.x() % self.modulus
         if self._has_order_n(x):
             return x
-        for coeffs in itertools.product(range(3), repeat=self.m):
-            a = Poly(coeffs)
+        for a in self.elements():
             if a.degree < 1:
                 continue  # constants have order at most 2
             if self._has_order_n(a):
                 return a
         raise RuntimeError("no primitive element found")  # pragma: no cover
 
-    # -- element arithmetic --------------------------------------------------
+    # -- elements ------------------------------------------------------------
 
-    def add(self, a: tuple, b: tuple) -> tuple:
-        return tuple((x + y) % 3 for x, y in zip(a, b))
-
-    def sub(self, a: tuple, b: tuple) -> tuple:
-        return tuple((x - y) % 3 for x, y in zip(a, b))
-
-    def neg(self, a: tuple) -> tuple:
-        return tuple((-x) % 3 for x in a)
-
-    def scalar_mul(self, c: int, a: tuple) -> tuple:
-        c %= 3
-        return tuple((c * x) % 3 for x in a)
-
-    def mul(self, a: tuple, b: tuple) -> tuple:
-        m = self.m
-        if m == 1:
-            return ((a[0] * b[0]) % 3,)
-        t = [0] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        t[i + j] = (t[i + j] + ai * bj) % 3
-        tail = self._mod_tail
-        for i in range(2 * m - 2, m - 1, -1):
-            c = t[i]
-            if c:
-                t[i] = 0
-                base = i - m
-                for j in range(m):
-                    if tail[j]:
-                        t[base + j] = (t[base + j] - c * tail[j]) % 3
-        return tuple(t[:m])
-
-    def inv(self, a: tuple) -> tuple:
-        if a == self.zero:
-            raise ZeroDivisionError("inversion of zero field element")
-        if self._log is not None:
-            return self.decode(self._exp[-self._log[self.encode(a)] % self.order])
-        from .gf3poly import poly_gcdext
-
-        g, s, _ = poly_gcdext(Poly(a), self.modulus)
-        if g.degree != 0:
-            raise RuntimeError("modulus not coprime to element")  # pragma: no cover
-        # g is monic, hence exactly 1; s is the inverse
-        return self._pad((s % self.modulus).coeffs)
-
-    def pow(self, a: tuple, e: int) -> tuple:
-        """a**e with e >= 0; 0**0 is 1.  Exponents reduce mod the group
-        order for nonzero a."""
-        if e < 0:
-            raise ValueError("exponent must be nonnegative")
-        if a == self.zero:
-            return self.one if e == 0 else self.zero
-        e %= self.order
-        if self._log is not None:
-            return self.decode(self._exp[self._log[self.encode(a)] * e % self.order])
-        return self._pow_generic(a, e)
-
-    def _pow_generic(self, a: tuple, e: int) -> tuple:
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def frobenius(self, a: tuple) -> tuple:
-        return self._pow_generic(a, 3)
-
-    def exp_of_generator(self, i: int) -> tuple:
+    def exp_of_generator(self, i: int) -> Poly:
+        """alpha^i: a table lookup once the tables are built, else powmod."""
         i %= self.order
         if self._exp is not None:
             return self.decode(self._exp[i])
-        return self._pow_generic(self.gen, i)
-
-    def log(self, a: tuple) -> int:
-        if a == self.zero:
-            raise ValueError("zero has no discrete logarithm")
-        _, log, _ = self.tables()
-        return log[self.encode(a)]
+        return powmod(self._alpha, i, self.modulus)
 
     def elements(self):
-        """All 3^m elements, ascending coefficient-sequence order."""
-        yield from itertools.product(range(3), repeat=self.m)
+        """All 3^m elements, in code order."""
+        return map(self.decode, range(3**self.m))
 
-    def encode(self, a: tuple) -> int:
+    def encode(self, a: Poly) -> int:
         """The code of a: its coefficients as a base-3 numeral, constant
         term most significant."""
-        code = 0
-        for c in a:
-            code = code * 3 + c
-        return code
+        return int(self._digits(a), 3)
 
-    def decode(self, code: int) -> tuple:
-        low, high_digits, low_digits = self._digit_halves
-        return high_digits[code // low] + low_digits[code % low]
+    def _digits(self, a: Poly) -> str:
+        # a's m coefficients, constant term first, read off its bit planes
+        # as decode writes them (a.coeffs would cache a tuple per element):
+        # bit i of a plane becomes decimal digit i of ones or twos, and the
+        # planes are disjoint, so ones + 2 * twos spells the digits
+        m = self.m
+        ones = int(format(a._p1, f"0{m}b")[::-1])
+        twos = int(format(a._p2, f"0{m}b")[::-1])
+        return str(ones + 2 * twos).zfill(m)
+
+    def decode(self, code: int) -> Poly:
+        low, high_planes, low_planes = self._plane_halves
+        h1, h2 = high_planes[code // low]
+        l1, l2 = low_planes[code % low]
+        return _poly(h1 | l1, h2 | l2)
 
     @cached_property
-    def _digit_halves(self) -> tuple[int, list[tuple], list[tuple]]:
-        # a code splits into its high m - m//2 and low m//2 digits; the
-        # digit tuples of each half, listed in code order, decode it
+    def _plane_halves(self) -> tuple[int, list[tuple], list[tuple]]:
+        # with k = m // 2, a code splits into its high m - k digits, the
+        # coefficients of x^0 .. x^(m-k-1), and its low k digits, those of
+        # the rest; the bit planes of each half, in code order, decode it
         k = self.m // 2
-        return (
-            3**k,
-            list(itertools.product(range(3), repeat=self.m - k)),
-            list(itertools.product(range(3), repeat=k)),
-        )
+        return 3**k, _plane_table(0, self.m - k), _plane_table(self.m - k, k)
 
     # -- tables --------------------------------------------------------------
 
@@ -232,25 +158,29 @@ class Field:
         m, n = self.m, self.order
         top = 3 ** (m - 1)  # code of one, and the weight of the top digit
         exp = [0] * n
-        a = top
-        if self._gen_is_x:
+        if self._alpha == Poly.x():
             # a*x: drop the lowest digit c (the x^(m-1) coefficient) and
             # add -c*tail digit by digit, high and low halves by lookup
             k = m // 2
             low = 3**k
-            vecs = [tuple(-c * t % 3 for t in self._mod_tail) for c in range(3)]
-            hi = [[low * h for h in _digitwise_adder(v[: m - k])] for v in vecs]
-            lo = [_digitwise_adder(v[m - k :]) for v in vecs]
+            tail = self.modulus.coeffs[:m]
+            hi = [
+                [low * h for h in _digitwise_adder(tail[: m - k], -c)]
+                for c in range(3)
+            ]
+            lo = [_digitwise_adder(tail[m - k :], -c) for c in range(3)]
+            a = top
             for i in range(n):
                 exp[i] = a
                 c = a % 3
                 a //= 3
                 a = hi[c][a // low] + lo[c][a % low]
         else:
-            gen = self.gen
+            p = self.one
             for i in range(n):
-                exp[i] = a
-                a = self.encode(self.mul(self.decode(a), gen))
+                exp[i] = self.encode(p)
+                p = p * self._alpha % self.modulus
+            a = self.encode(p)
         if a != top:
             raise RuntimeError("generator order mismatch")  # pragma: no cover
         log = [ZECH_ZERO] * (3 * top)
@@ -265,30 +195,34 @@ class Field:
         self._exp, self._log, self._zech = exp, log, zech
         return exp, log, zech
 
-    # -- text forms ----------------------------------------------------------
+    # -- text form -----------------------------------------------------------
 
-    def format_element(self, a: tuple) -> str:
-        return ",".join(str(c) for c in a)
-
-    def parse_element(self, text: str) -> tuple:
-        parts = [p.strip() for p in text.split(",")]
-        if len(parts) != self.m:
-            raise ValueError(f"expected {self.m} coefficients, got {len(parts)}")
-        if any(p not in ("0", "1", "2") for p in parts):
-            raise ValueError("element coefficients must be 0, 1, or 2")
-        return tuple(int(p) for p in parts)
+    def format_element(self, a: Poly) -> str:
+        """The m coefficients of a, constant term first, comma-joined."""
+        return ",".join(self._digits(a))
 
     def __repr__(self) -> str:
         return f"Field(m={self.m}, modulus={self.modulus.format()!r})"
 
 
-def _digitwise_adder(vec: tuple) -> list[int]:
-    """t[u] = code of u + vec, added digit by digit mod 3, for every code u
-    of len(vec) digits; vec is in tuple order, most significant first."""
+def _plane_table(shift: int, digits: int) -> list[tuple[int, int]]:
+    """The bit planes (ones, twos) of every code of `digits` digits, in
+    code order; the most significant digit is the coefficient of x^shift."""
+    table = [(0, 0)]
+    for i in reversed(range(shift, shift + digits)):
+        digit_planes = ((0, 0), (1 << i, 0), (0, 1 << i))  # digits 0, 1, 2
+        table = [(p1 | d1, p2 | d2) for d1, d2 in digit_planes for p1, p2 in table]
+    return table
+
+
+def _digitwise_adder(vec: tuple, scale: int) -> list[int]:
+    """t[u] = code of u + scale*vec, added digit by digit mod 3, for every
+    code u of len(vec) digits; vec is in code order, most significant
+    first."""
     table = [0]
     weight = 1
     for v in reversed(vec):
-        table = [(d + v) % 3 * weight + t for d in range(3) for t in table]
+        table = [(d + scale * v) % 3 * weight + t for d in range(3) for t in table]
         weight *= 3
     return table
 

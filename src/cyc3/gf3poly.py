@@ -22,9 +22,9 @@ Two text forms are accepted wherever a polynomial is read: a human form like
 "x^6-x^5+x^3+1" (spaces optional) and a list form like "1,0,0,1,0,2,1" giving
 ascending-degree digits.  The human form is the one used in reports.
 
-Beyond ring arithmetic the module provides division with remainder, monic gcd
-and extended gcd, modular exponentiation, Frobenius powers by iterated cubing,
-a deterministic irreducibility test, and complete factorization.  Factoring
+Beyond ring arithmetic the module provides division with remainder, monic
+gcd, modular exponentiation, Frobenius powers by iterated cubing, a
+deterministic irreducibility test, and complete factorization.  Factoring
 runs squarefree decomposition, then distinct-degree splitting, then
 equal-degree splitting; the equal-degree stage draws from a seeded generator
 (default seed 0) so output is reproducible bit for bit.
@@ -460,22 +460,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()[1]
 
 
-def poly_gcdext(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """Extended gcd: returns monic g and s, t with s*a + t*b == g."""
-    if a.is_zero and b.is_zero:
-        raise ValueError("gcd of two zero polynomials is undefined")
-    r0, r1 = a, b
-    s0, s1 = Poly.one(), Poly.zero()
-    t0, t1 = Poly.zero(), Poly.one()
-    while r1:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    u = r0.lc  # scale everything so the gcd comes out monic
-    return r0 * u, s0 * u, t0 * u
-
-
 def powmod(a: Poly, n: int, mod: Poly) -> Poly:
     """a**n reduced mod a modulus of degree >= 1; n is any nonnegative int."""
     if mod.is_zero:
@@ -601,11 +585,21 @@ def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
+def _half_power(a: Poly, d: int, f: Poly) -> Poly:
+    """a^((3^d-1)/2) mod f for d >= 1.  The exponent's d base-3 digits are
+    all 1, so the power is the product of the Frobenius images a^(3^i),
+    i < d, one cubing each instead of a square-and-multiply."""
+    image = power = a % f
+    for _ in range(d - 1):
+        image = image.cube() % f
+        power = power * image % f
+    return power
+
+
 def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:
     # f monic, all irreducible factors of degree d; Cantor-Zassenhaus split
     if f.degree == d:
         return [f]
-    exp = (3**d - 1) // 2
     while True:
         a = Poly(rng.randrange(3) for _ in range(f.degree))
         if a.degree < 1:
@@ -613,7 +607,7 @@ def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:
         g = poly_gcd(a, f)
         if 0 < g.degree < f.degree:
             break
-        g = poly_gcd(powmod(a, exp, f) - Poly.one(), f)
+        g = poly_gcd(_half_power(a, d, f) - Poly.one(), f)
         if 0 < g.degree < f.degree:
             break
     return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)

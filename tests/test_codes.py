@@ -16,7 +16,7 @@ from cyc3.codes import (
 )
 from cyc3.cosets import coset
 from cyc3.field import build_field
-from cyc3.gf3poly import Poly
+from cyc3.gf3poly import Poly, powmod
 
 f4 = build_field(4)
 f6 = build_field(6)
@@ -56,7 +56,8 @@ def test_parity_check_columns_are_power_pairs():
     assert len(cols) == 80
     assert cols[0] == (f4.one, f4.one)
     for i in (1, 7, 33):
-        assert cols[i] == (f4.pow(f4.gen, i), f4.pow(f4.gen, 14 * i))
+        alpha_i = powmod(Poly.x(), i, f4.modulus)
+        assert cols[i] == (alpha_i, powmod(alpha_i, 14, f4.modulus))
 
 
 def test_generator_coefficients_have_zero_syndrome():
@@ -138,13 +139,10 @@ def _brute_force_light_word(field, e):
     """
     n = field.order
     cols = parity_check_columns(field, e)
-    scaled = {
-        lam: [(field.scalar_mul(lam, a), field.scalar_mul(lam, b)) for a, b in cols]
-        for lam in (1, 2)
-    }
+    scaled = {lam: [(a * lam, b * lam) for a, b in cols] for lam in (1, 2)}
 
     def add(u, v):
-        return field.add(u[0], v[0]), field.add(u[1], v[1])
+        return u[0] + v[0], u[1] + v[1]
 
     zero = (field.zero, field.zero)
     for i in range(n):
@@ -158,7 +156,7 @@ def _brute_force_light_word(field, e):
                 for lam2 in (1, 2):
                     # col_k must equal -(lam1*col_i + lam2*col_j)
                     target = add(scaled[lam1][i], scaled[lam2][j])
-                    target = (field.neg(target[0]), field.neg(target[1]))
+                    target = (-target[0], -target[1])
                     for k in range(j + 1, n):
                         if cols[k] == target:
                             positions = (i, j, k)
@@ -175,18 +173,15 @@ def _weight3_supports(field, e):
     index = {}
     for k, (a, b) in enumerate(cols):
         index.setdefault((a, b), []).append(k)
-        index.setdefault((field.neg(a), field.neg(b)), []).append(k)
-    scaled = [
-        [(field.scalar_mul(lam, a), field.scalar_mul(lam, b)) for a, b in cols]
-        for lam in (1, 2)
-    ]
+        index.setdefault((-a, -b), []).append(k)
+    scaled = [[(a * lam, b * lam) for a, b in cols] for lam in (1, 2)]
     n = field.order
     supports = set()
     for i in range(n):
         a, b = cols[i]
         for j in range(i + 1, n):
             for c, d in (scaled[0][j], scaled[1][j]):
-                for k in index.get((field.add(a, c), field.add(b, d)), ()):
+                for k in index.get((a + c, b + d), ()):
                     if k not in (i, j):
                         supports.add(tuple(sorted((i, j, k))))
     return supports

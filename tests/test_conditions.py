@@ -21,7 +21,7 @@ from cyc3.conditions import (
 )
 from cyc3.cosets import coset
 from cyc3.field import ZECH_ZERO, Field, build_field
-from cyc3.gf3poly import Poly, parse_poly
+from cyc3.gf3poly import Poly, parse_poly, powmod
 
 f4 = build_field(4)
 f5 = build_field(5)
@@ -122,6 +122,25 @@ def test_table_and_generic_scans_agree_at_m4():
         )
 
 
+def test_table_and_generic_scans_agree_on_sampled_leaders_at_m7():
+    # the table-free oracle costs about a second per leader at m = 7, so
+    # it checks two seeded leaders and one of the few (3 of 156) whose
+    # equations have solutions beyond the forced ones
+    field = build_field(7)
+    leaders = sorted({coset(e, 3, 7).leader for e in range(2, field.order, 2)})
+    with_extra = [
+        e
+        for e in leaders
+        if len(_solutions_table(field, e, -1)) + len(_solutions_table(field, e, +1)) > 2
+    ]
+    rng = random.Random(7)
+    for e in rng.sample(leaders, 2) + [rng.choice(with_extra)]:
+        for sign in (-1, +1):
+            assert _solutions_table(field, e, sign) == _solutions_generic(
+                field, e, sign
+            ), (e, sign)
+
+
 def test_generic_scan_reads_no_table():
     # the oracle must not share the exp/log tables with the scan it checks:
     # on a field whose tables are scrambled it still finds every solution
@@ -159,15 +178,15 @@ def test_table_scan_matches_direct_arithmetic_sampled_at_m11():
     field = build_field(11)
     e = 248
     rng = random.Random(248)
-    sample = [tuple(rng.randrange(3) for _ in range(11)) for _ in range(300)]
+    sample = [Poly([rng.randrange(3) for _ in range(11)]) for _ in range(300)]
     for sign in (-1, +1):
         solutions = _solutions_table(field, e, sign)
         assert solutions == ([field.zero] if sign < 0 else [field.one])
 
         def solves(x):
-            lhs = field._pow_generic(field.add(x, field.one), e)
-            rhs = field.add(field._pow_generic(x, e), field.one)
-            return lhs == (field.neg(rhs) if sign > 0 else rhs)
+            lhs = powmod(x + field.one, e, field.modulus)
+            rhs = powmod(x, e, field.modulus) + field.one
+            return lhs == (-rhs if sign > 0 else rhs)
 
         for x in solutions:
             assert solves(x)

@@ -1,9 +1,13 @@
-"""GF(3^m) arithmetic: canonical moduli, tables, axioms, Zech identities."""
+"""GF(3^m): canonical moduli, element codes and text form, tables, Zech
+identities, and the field axioms on reduced residues."""
+
+import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyc3.conditions import _solutions_table
 from cyc3.field import (
     LOG_TABLE_MAX_DEGREE,
     MAX_DEGREE,
@@ -40,7 +44,9 @@ CANONICAL_MODULI = {
 
 f4 = build_field(4)
 
-elements4 = st.tuples(*[st.integers(min_value=0, max_value=2)] * 4)
+elements4 = st.integers(min_value=0, max_value=80).map(f4.decode)
+nonzero4 = st.integers(min_value=1, max_value=80).map(f4.decode)
+f4_no_tables = Field(4)  # exp_of_generator falls back to powmod here
 exponents = st.integers(min_value=0, max_value=200)
 
 
@@ -75,19 +81,20 @@ def test_modulus_search_skipping_constant_terms_finds_the_full_scan_hit(m):
 @pytest.mark.parametrize("m", range(2, 13))
 def test_x_generates_the_canonical_field(m):
     field = build_field(m)
-    assert field.gen == field._pad((0, 1))
+    assert field.exp_of_generator(1) == Poly.x()
+    assert field.gen == (0, 1) + (0,) * (m - 2)  # padded coefficient tuple
     # generator order is the full group order
-    assert field.pow(field.gen, field.order) == field.one
+    assert powmod(Poly.x(), field.order, field.modulus) == field.one
     if field.order % 2 == 0:
-        half = field.pow(field.gen, field.order // 2)
-        assert half == field.scalar_mul(2, field.one)
+        assert field.exp_of_generator(field.order // 2) == -field.one
 
 
 def test_m1_field():
     field = build_field(1)
     assert field.order == 2
     assert field.gen == (2,)
-    assert field.mul((2,), (2,)) == (1,)
+    assert field.exp_of_generator(1) == Poly((2,))
+    assert field.exp_of_generator(1) * field.exp_of_generator(1) % field.modulus == field.one
 
 
 def test_build_field_is_cached():
@@ -111,68 +118,79 @@ def test_custom_modulus_validation():
 def test_custom_modulus_with_nonprimitive_x():
     # x has order 4 mod x^2+1, so the generator scan must move past it
     field = Field(2, modulus=parse_poly("x^2+1"))
-    assert field.pow(field.gen, 8) == field.one
-    assert field.pow(field.gen, 4) != field.one
-    assert field.pow(field.gen, 2) != field.one
+    assert field.exp_of_generator(1) != Poly.x()
+    assert field.exp_of_generator(8) == field.one
+    assert field.exp_of_generator(4) != field.one
+    assert field.exp_of_generator(2) != field.one
+
+
+def mul4(a, b):
+    return a * b % f4.modulus
 
 
 @given(elements4, elements4)
 def test_add_commutes(a, b):
-    assert f4.add(a, b) == f4.add(b, a)
+    assert a + b == b + a
 
 
 @given(elements4, elements4)
 def test_mul_commutes(a, b):
-    assert f4.mul(a, b) == f4.mul(b, a)
+    assert mul4(a, b) == mul4(b, a)
 
 
 @given(elements4, elements4, elements4)
 def test_mul_distributes(a, b, c):
-    assert f4.mul(a, f4.add(b, c)) == f4.add(f4.mul(a, b), f4.mul(a, c))
+    assert mul4(a, b + c) == mul4(a, b) + mul4(a, c)
 
 
 @given(elements4)
 def test_additive_inverse(a):
-    assert f4.add(a, f4.neg(a)) == f4.zero
-    assert f4.sub(a, a) == f4.zero
+    assert a + -a == f4.zero
+    assert a - a == f4.zero
 
 
-@given(elements4.filter(lambda a: any(a)))
+@given(nonzero4)
 def test_multiplicative_inverse(a):
-    assert f4.mul(a, f4.inv(a)) == f4.one
+    # alpha^-i is the inverse of alpha^i; residues multiply back to one
+    _, log, _ = f4.tables()
+    assert mul4(a, f4.exp_of_generator(-log[f4.encode(a)])) == f4.one
 
 
-def test_inv_of_zero():
-    with pytest.raises(ZeroDivisionError):
-        f4.inv(f4.zero)
-
-
-@given(elements4, exponents)
-def test_pow_agrees_with_generic(a, e):
-    assert f4.pow(a, e) == f4._pow_generic(a, e)
+@given(exponents)
+def test_pow_agrees_with_generic(e):
+    # the table lookup and the table-free powmod fallback agree
+    f4.tables()
+    assert f4_no_tables._exp is None
+    assert f4.exp_of_generator(e) == f4_no_tables.exp_of_generator(e)
+    assert f4_no_tables.exp_of_generator(e) == powmod(Poly.x(), e, f4.modulus)
 
 
 @given(elements4)
 def test_frobenius_is_cubing(a):
-    assert f4.frobenius(a) == f4.pow(a, 3)
+    # cubing is i -> 3i in log space, and a.cube() is a^3
+    assert a.cube() % f4.modulus == powmod(a, 3, f4.modulus)
+    if a:
+        _, log, _ = f4.tables()
+        i = log[f4.encode(a)]
+        assert f4.exp_of_generator(3 * i) == a.cube() % f4.modulus
 
 
 @given(elements4, elements4)
 def test_frobenius_additive(a, b):
-    assert f4.frobenius(f4.add(a, b)) == f4.add(f4.frobenius(a), f4.frobenius(b))
+    cube = lambda x: x.cube() % f4.modulus  # noqa: E731
+    assert cube(a + b) == cube(a) + cube(b)
 
 
 def test_pow_empty_cases():
-    assert f4.pow(f4.zero, 0) == f4.one
-    assert f4.pow(f4.zero, 5) == f4.zero
-    assert f4.pow(f4.gen, 0) == f4.one
+    for field in (f4, f4_no_tables):
+        assert field.exp_of_generator(0) == field.one
+        assert field.exp_of_generator(field.order) == field.one
 
 
 def test_pow_reduces_exponent_mod_order():
-    a = f4.gen
-    assert f4.pow(a, f4.order + 7) == f4.pow(a, 7)
-    with pytest.raises(ValueError):
-        f4.pow(a, -1)
+    for field in (f4, f4_no_tables):
+        assert field.exp_of_generator(field.order + 7) == field.exp_of_generator(7)
+        assert mul4(field.exp_of_generator(-1), Poly.x()) == field.one
 
 
 def test_elements_enumeration():
@@ -180,16 +198,39 @@ def test_elements_enumeration():
     assert len(els) == 81
     assert els[0] == f4.zero
     assert len(set(els)) == 81
+    assert all(isinstance(a, Poly) and a.degree < 4 for a in els)
 
 
 def test_encode_decode_round_trip_in_tuple_order():
     codes = [f4.encode(a) for a in f4.elements()]
-    # elements() runs in tuple order, so code order is tuple order
+    # elements() runs in code order, which is coefficient-tuple order
     assert codes == list(range(81))
     for code in codes:
         assert f4.encode(f4.decode(code)) == code
     assert f4.encode(f4.one) == 27  # constant term is the top digit
-    assert f4.decode(1) == (0, 0, 0, 1)
+    assert f4.decode(1) == Poly.x() ** 3
+
+
+def test_decode_and_format_element_boundary_contract_at_m4():
+    # every code decodes to a reduced Poly whose text form is the code's
+    # padded digit string, constant term first
+    for code, digits in enumerate(itertools.product(range(3), repeat=4)):
+        a = f4.decode(code)
+        assert isinstance(a, Poly)
+        assert a.degree < 4
+        assert a == Poly(digits)
+        assert f4.format_element(a) == ",".join(map(str, digits))
+    assert f4.format_element(f4.zero) == "0,0,0,0"
+    # solution lists come out in ascending code order; Poly's own order
+    # (degree first) would differ on some of them
+    reordered = 0
+    for e in range(2, 80, 2):
+        for sign in (-1, +1):
+            sols = _solutions_table(f4, e, sign)
+            codes = [f4.encode(x) for x in sols]
+            assert codes == sorted(set(codes)), (e, sign)
+            reordered += sorted(sols) != sols
+    assert reordered
 
 
 def test_log_exp_round_trip():
@@ -200,26 +241,30 @@ def test_log_exp_round_trip():
     for i in range(f4.order):
         assert log[exp[i]] == i
         assert f4.exp_of_generator(i) == f4.decode(exp[i])
-    assert f4.log(f4.one) == 0
-    assert f4.log(f4.gen) == 1
+    assert log[f4.encode(f4.one)] == 0
+    assert log[f4.encode(Poly.x())] == 1
 
 
 def test_log_of_zero():
-    with pytest.raises(ValueError):
-        f4.log(f4.zero)
+    # zero has no discrete logarithm: its code holds the sentinel
+    _, log, _ = f4.tables()
+    assert f4.encode(f4.zero) == 0
+    assert log[0] == ZECH_ZERO
+    assert log.count(ZECH_ZERO) == 1
 
 
 def _check_tables_against_generic_powers(field):
     # every entry of exp and zech from plain polynomial arithmetic: the
     # powers come from square-and-multiply, the logs from their positions
+    alpha = Field(field.m, field.modulus).exp_of_generator(1)  # no tables
     exp, log, zech = field.tables()
     n = field.order
-    powers = [field._pow_generic(field.gen, i) for i in range(n)]
+    powers = [powmod(alpha, i, field.modulus) for i in range(n)]
     assert [field.decode(a) for a in exp] == powers
     position = {p: i for i, p in enumerate(powers)}
     assert len(position) == n
     for i in range(n):
-        s = field.add(field.one, powers[i])
+        s = field.one + powers[i]
         assert zech[i] == (ZECH_ZERO if s == field.zero else position[s]), i
         assert log[field.encode(powers[i])] == i
 
@@ -232,7 +277,7 @@ def test_tables_match_generic_arithmetic(m):
 def test_tables_with_a_generator_other_than_x():
     # x has order 4 mod x^2+1, so tables() steps by general multiplication
     field = Field(2, modulus=parse_poly("x^2+1"))
-    assert field.gen != field._pad((0, 1))
+    assert field.gen != (0, 1)
     _check_tables_against_generic_powers(field)
 
 
@@ -244,7 +289,7 @@ def test_zech_table_identity():
     for i in range(f4.order):
         if i == half:
             continue
-        s = f4.add(f4.one, f4.decode(exp[i]))
+        s = f4.one + f4.decode(exp[i])
         assert zech[i] == log[f4.encode(s)]
 
 
@@ -254,7 +299,7 @@ def test_zech_addition_formula():
     n = f4.order
     for u, v in [(3, 10), (0, 5), (50, 12), (79, 1), (7, 47)]:
         d = (v - u) % n
-        total = f4.add(f4.decode(exp[u]), f4.decode(exp[v]))
+        total = f4.decode(exp[u]) + f4.decode(exp[v])
         if zech[d] == ZECH_ZERO:
             assert total == f4.zero
             continue
@@ -268,21 +313,13 @@ def test_tables_unavailable_above_cap():
 
 
 def test_minus_one_is_half_order_power():
-    minus_one = f4.scalar_mul(2, f4.one)
-    assert f4.pow(f4.gen, f4.order // 2) == minus_one
-
-
-def test_format_parse_element_round_trip():
-    for a in [(0, 0, 0, 0), (1, 2, 0, 1), (2, 2, 2, 2)]:
-        assert f4.parse_element(f4.format_element(a)) == a
-    with pytest.raises(ValueError):
-        f4.parse_element("1,2,3,0")
-    with pytest.raises(ValueError):
-        f4.parse_element("1,2")
+    assert f4.exp_of_generator(f4.order // 2) == -f4.one
+    assert f4.format_element(-f4.one) == "2,0,0,0"
 
 
 @settings(max_examples=25)
-@given(elements4.filter(lambda a: any(a)), elements4.filter(lambda a: any(a)))
+@given(nonzero4, nonzero4)
 def test_log_turns_mul_into_add(a, b):
+    _, log, _ = f4.tables()
     n = f4.order
-    assert f4.log(f4.mul(a, b)) == (f4.log(a) + f4.log(b)) % n
+    assert log[f4.encode(mul4(a, b))] == (log[f4.encode(a)] + log[f4.encode(b)]) % n

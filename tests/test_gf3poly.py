@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cyc3.gf3poly import (
     Factorization,
+    _half_power,
     Poly,
     PolyParseError,
     factor,
@@ -15,7 +16,6 @@ from cyc3.gf3poly import (
     monic_polys,
     parse_poly,
     poly_gcd,
-    poly_gcdext,
     powmod,
     prime_factors,
     roots_in_extension,
@@ -157,12 +157,6 @@ def test_gcd_divides_both(f, g):
     assert d.is_monic
     assert (f % d).is_zero
     assert (g % d).is_zero
-
-
-@given(nonzero_polys, polys)
-def test_gcdext_bezout(f, g):
-    d, s, t = poly_gcdext(f, g)
-    assert s * f + t * g == d
 
 
 @given(polys, polys)
@@ -463,6 +457,18 @@ def test_frobenius_power_matches_reference(a, tail, d):
     for _ in range(d):
         expected = ref_divmod(ref_mul(ref_mul(expected, expected), expected), mod)[1]
     assert frobenius_power(Poly(a), d, Poly(mod)).coeffs == expected
+
+
+@given(
+    sized_lists(digits, 80),
+    sized_lists(digits, 40).filter(len),
+    st.integers(min_value=1, max_value=8),
+)
+@settings(max_examples=60)
+def test_half_power_is_the_product_of_frobenius_images(a, tail, d):
+    # the equal-degree split's a^((3^d-1)/2) mod f, against square-and-multiply
+    f = Poly(tail + [1])
+    assert _half_power(Poly(a), d, f) == powmod(Poly(a), (3**d - 1) // 2, f)
 
 
 @given(long_lists, long_lists, st.integers(min_value=0, max_value=201))
