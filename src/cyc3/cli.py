@@ -24,7 +24,6 @@ import time
 
 from . import __version__
 from .codes import (
-    ConjugateExponentError,
     build_code,
     hamming_ball,
     min_weight_leq3_search,
@@ -105,6 +104,7 @@ def _cmd_field_info(args):
 
     primes = prime_factors(field.order) if field.order > 1 else ()
     generator = field.format_element(field.exp_of_generator(1))
+    log_tables = field.m <= LOG_TABLE_MAX_DEGREE
     payload = _wrap(
         "field-info",
         {
@@ -113,7 +113,7 @@ def _cmd_field_info(args):
             "modulus": field.modulus.format(),
             "generator": generator,
             "orderPrimeFactors": list(primes),
-            "logTables": field.m <= LOG_TABLE_MAX_DEGREE,
+            "logTables": log_tables,
         },
     )
     text = [
@@ -121,7 +121,7 @@ def _cmd_field_info(args):
         f"modulus: {field.modulus.format()}",
         f"generator: {generator}",
         f"prime factors of the order: {', '.join(map(str, primes)) or 'none'}",
-        f"log/Zech tables available: {_bool_text(field.m <= LOG_TABLE_MAX_DEGREE)}",
+        f"log/Zech tables available: {_bool_text(log_tables)}",
     ]
     return 0, payload, text, None
 
@@ -205,54 +205,39 @@ def _cmd_verify(args):
     return code, payload, text, (VERIFY_CSV_COLUMNS, rows)
 
 
-def _family_reading_summary(rows):
-    # group concl-C rows by (m, reading); a reading is fully optimal at m
-    # when every instance there came back optimal
+def _family_reading_report(rows) -> tuple[list[dict], list[str]]:
+    # one pass over the concl-C verdicts grouped by (m, reading): a reading
+    # is fully optimal at m when every instance there came back optimal;
+    # a partly or wholly failing reading, and an m where no reading is
+    # fully optimal, each become a discrepancy line
     by_m: dict[int, dict[str, list[str]]] = {}
     for inst, rep in rows:
         by_m.setdefault(inst.m, {}).setdefault(inst.reading, []).append(rep.verdict)
-    summary = []
+    summary, discrepancies = [], []
     for m in sorted(by_m):
-        readings = [
-            {"reading": r, "allOptimal": all(v == "optimal" for v in verdicts)}
-            for r, verdicts in by_m[m].items()
-        ]
-        summary.append(
-            {
-                "m": m,
-                "readings": readings,
-                "anyConsistent": any(r["allOptimal"] for r in readings),
-            }
-        )
-    return summary
-
-
-def _family_discrepancies(rows, summary) -> list[str]:
-    out = []
-    for entry in summary:
-        m = entry["m"]
-        for r in entry["readings"]:
-            verdicts = [
-                rep.verdict
-                for inst, rep in rows
-                if inst.m == m and inst.reading == r["reading"]
-            ]
+        readings = []
+        for reading, verdicts in by_m[m].items():
             failed = sum(v != "optimal" for v in verdicts)
+            readings.append({"reading": reading, "allOptimal": not failed})
             if failed == len(verdicts):
-                out.append(
-                    f"reading {r['reading']} at m={m}: no instance optimal"
+                discrepancies.append(
+                    f"reading {reading} at m={m}: no instance optimal"
                 )
             elif failed:
-                out.append(
-                    f"reading {r['reading']} at m={m}: {failed} of "
+                discrepancies.append(
+                    f"reading {reading} at m={m}: {failed} of "
                     f"{len(verdicts)} instances not optimal"
                 )
-        if not entry["anyConsistent"]:
-            out.append(
+        any_consistent = any(r["allOptimal"] for r in readings)
+        if not any_consistent:
+            discrepancies.append(
                 f"m={m}: no reading of the constant term is optimal for "
                 f"every qualifying h"
             )
-    return out
+        summary.append(
+            {"m": m, "readings": readings, "anyConsistent": any_consistent}
+        )
+    return summary, discrepancies
 
 
 def _cmd_family(args):
@@ -289,8 +274,7 @@ def _cmd_family(args):
             f"  m={inst.m} h={inst.h} e={inst.e}{tag}: {rep.verdict}{params}"
         )
     if args.name == "concl-C":
-        summary = _family_reading_summary(rows)
-        discrepancies = _family_discrepancies(rows, summary)
+        summary, discrepancies = _family_reading_report(rows)
         body["readingSummary"] = summary
         body["discrepancies"] = discrepancies
         for line in discrepancies:
@@ -596,13 +580,10 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         code, payload, text_lines, csv_data = args.func(args)
-    except (PolyParseError,) as exc:
+    except PolyParseError as exc:
         print(f"error: bad polynomial: {exc}", file=sys.stderr)
         return 2
-    except ConjugateExponentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConjugateExponentError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(args, payload, text_lines, csv_data, time.perf_counter() - t0)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .cosets import coset, minimal_polynomial
-from .field import LOG_TABLE_MAX_DEGREE, Field
+from .field import Field
 from .gf3poly import Poly
 
 
@@ -114,15 +114,10 @@ def min_weight_leq3_search(field: Field, e: int) -> WeightWitness:
     its first value is 1, or the verdict no_word_below_4.  Every witness
     starts at position 0: the code is cyclic, so a word of weight 2 or 3
     has a cyclic shift that is nonzero at position 0, and scanning the
-    pairs (0, j) covers all of them.  m > LOG_TABLE_MAX_DEGREE is out of
-    reach (no Zech tables).
+    pairs (0, j) covers all of them.  An m without Zech tables is refused
+    (ValueError) by field.tables().
     """
-    m, n = field.m, field.order
-    if m > LOG_TABLE_MAX_DEGREE:
-        raise ValueError(
-            f"weight search needs Zech tables, available for m <= "
-            f"{LOG_TABLE_MAX_DEGREE}; got m={m}"
-        )
+    n = field.order
     if not 1 <= e <= n - 1:
         raise ValueError(f"e must be in [1, {n - 1}], got {e}")
     _, _, zech = field.tables()

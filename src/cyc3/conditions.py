@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .codes import build_code
 from .cosets import coset
-from .field import LOG_TABLE_MAX_DEGREE, Field, build_field
+from .field import Field, build_field
 from .gf3poly import Poly, powmod
 
 # Readings of the ambiguous constant in family C, as (tag, value-for-m).
@@ -121,14 +121,6 @@ def _solutions_generic(field: Field, e: int, sign: int) -> list[Poly]:
     return sols
 
 
-def _require_tables(m: int) -> None:
-    if m > LOG_TABLE_MAX_DEGREE:
-        raise ValueError(
-            f"condition scans need Zech tables, available for m <= "
-            f"{LOG_TABLE_MAX_DEGREE}; got m={m}"
-        )
-
-
 def check_c2(field: Field, e: int) -> tuple[Poly, ...]:
     """All x with (x+1)^e - x^e - 1 = 0, in code order."""
     return tuple(_solutions_table(field, e, -1))
@@ -140,17 +132,16 @@ def check_c3(field: Field, e: int) -> tuple[Poly, ...]:
 
 
 def gcd_chain_check(m: int, h: int) -> int:
-    """gcd(3^h + 5, 3^m - 1) under the e = 3^h + 5 family constraints.
+    """gcd(3^h + 5, 3^m - 1) under the e = 3^h + 5 family constraints
+    (open_problem_exponent's m and h).
 
     The result is asserted to be 2, which is what forces the full coset
     size via the coset-size law.
     """
-    if m % 2 != 0 or m < 4:
-        raise ValueError(f"m must be even and >= 4, got {m}")
-    expected_h = m // 2 if m % 4 == 0 else (m + 2) // 2
+    expected_h, e = open_problem_exponent(m)
     if h != expected_h:
         raise ValueError(f"h must be {expected_h} for m={m}, got {h}")
-    g = math.gcd(3**h + 5, 3**m - 1)
+    g = math.gcd(e, 3**m - 1)
     if g != 2:
         raise RuntimeError(f"gcd(3^{h}+5, 3^{m}-1) = {g}, expected 2")
     return g
@@ -178,10 +169,9 @@ def _derive_h(e: int) -> int | None:
 
 def verify_optimal(field: Field, e: int, h: int | None = None) -> ConditionReport:
     """Full certification of one (m, e); never raises on a failing
-    condition, that is what the verdict is for.  m > LOG_TABLE_MAX_DEGREE
-    is refused (ValueError): the scans need Zech tables."""
+    condition, that is what the verdict is for.  An m without Zech tables
+    is refused (ValueError) by the first scan's field.tables()."""
     m, n = field.m, field.order
-    _require_tables(m)
     if not 1 <= e <= n - 1:
         raise ValueError(f"e must be in [1, {n - 1}], got {e}")
     c1 = check_c1(e)
@@ -277,11 +267,12 @@ def family_instances(name: str, ms: list[int]) -> list[FamilyInstance]:
 def verify_family(
     name: str, ms: list[int]
 ) -> list[tuple[FamilyInstance, ConditionReport]]:
-    """verify_optimal over every instance of a family, in order; an m
-    above LOG_TABLE_MAX_DEGREE is refused before any instance runs."""
+    """verify_optimal over every instance of a family, in order.  Every
+    field's tables are built first, so an m without them is refused before
+    any instance runs."""
     instances = family_instances(name, ms)
     for inst in instances:
-        _require_tables(inst.m)
+        build_field(inst.m).tables()
     return [
         (inst, verify_optimal(build_field(inst.m), inst.e, inst.h))
         for inst in instances

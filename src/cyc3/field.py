@@ -2,19 +2,21 @@
 
 An element is a reduced residue: a `Poly` of degree below m modulo a monic
 irreducible modulus of degree m, with the ring operations of `gf3poly`
-(`+`, `-`, `* int`, and `a * b % field.modulus`).  The canonical modulus
-for each m is the first monic irreducible, in ascending coefficient-sequence
-order, whose residue class of x is primitive; the canonical generator is
-then x itself.  An explicit modulus may be supplied instead, in which case
-a primitive generator is discovered by search.  Every verified statement is
-representation independent, so reports always record the modulus in use.
+(`+`, `-`, `* int`, and `a * b % field.modulus`).  The generator alpha is
+always the residue class of x.  The canonical modulus for each m is the
+first monic irreducible, in ascending coefficient-sequence order, in which
+x is primitive.  An explicit modulus may be supplied instead, but x must be
+primitive modulo it too; other moduli are refused.  Every verified
+statement is representation independent, so reports always record the
+modulus in use.
 
 For m up to LOG_TABLE_MAX_DEGREE the field can build exponent, discrete-log,
-and Zech-logarithm tables.  The Zech table turns addition of two generator
-powers into integer index arithmetic: alpha^u + alpha^v =
-alpha^(u + zech[(v-u) mod n]), with a -1 sentinel where the sum is zero.
-That is what makes the exhaustive equation scans and the weight search fast
-enough in pure Python.
+and Zech-logarithm tables; tables() is the one place that decides this, and
+every scan that needs them is refused through it.  The Zech table turns
+addition of two generator powers into integer index arithmetic:
+alpha^u + alpha^v = alpha^(u + zech[(v-u) mod n]), with a -1 sentinel where
+the sum is zero.  That is what makes the exhaustive equation scans and the
+weight search fast enough in pure Python.
 
 The tables hold elements as integer codes: an element's code is its
 coefficient sequence c0, c1, ..., c(m-1) read as a base-3 numeral with the
@@ -44,8 +46,8 @@ ZECH_ZERO = -1
 
 
 class Field:
-    """GF(3^m) with a fixed primitive generator alpha; elements are
-    reduced `Poly` residues."""
+    """GF(3^m) generated by x modulo a monic irreducible in which x is
+    primitive; elements are reduced `Poly` residues."""
 
     def __init__(self, m: int, modulus: Poly | None = None):
         if not 1 <= m <= MAX_DEGREE:
@@ -54,48 +56,24 @@ class Field:
         self.order = 3**m - 1
         if modulus is None:
             modulus = _canonical_modulus(m)
-            self.modulus = modulus
-            gen_poly = Poly.x() % modulus
         else:
             if modulus.degree != m or not modulus.is_monic:
                 raise ValueError("modulus must be monic of degree m")
             if not is_irreducible(modulus):
                 raise ValueError(f"modulus {modulus.format()} is reducible")
-            self.modulus = modulus
-            gen_poly = self._find_generator()
+            if not _x_is_primitive(modulus):
+                raise ValueError(f"x is not primitive modulo {modulus.format()}")
+        self.modulus = modulus
         self.zero = Poly.zero()
         self.one = Poly.one()
-        self._alpha = gen_poly
+        self._alpha = Poly.x() % modulus  # the constant -1 when m = 1
         # the generator's padded coefficient tuple, as the benchmark's
         # field summary reads it; exp_of_generator(1) is the element
-        self.gen = gen_poly.coeffs + (0,) * (m - len(gen_poly.coeffs))
+        self.gen = self._alpha.coeffs + (0,) * (m - len(self._alpha.coeffs))
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._zech: list[int] | None = None
         self._minpoly_cache: dict[int, Poly] = {}
-        if not self._has_order_n(gen_poly):
-            raise ValueError("generator is not primitive")  # pragma: no cover
-
-    # -- construction helpers ------------------------------------------------
-
-    def _has_order_n(self, a: Poly) -> bool:
-        if powmod(a, self.order, self.modulus) != Poly.one():
-            return False
-        for q in prime_factors(self.order) if self.order > 1 else ():
-            if powmod(a, self.order // q, self.modulus) == Poly.one():
-                return False
-        return True
-
-    def _find_generator(self) -> Poly:
-        x = Poly.x() % self.modulus
-        if self._has_order_n(x):
-            return x
-        for a in self.elements():
-            if a.degree < 1:
-                continue  # constants have order at most 2
-            if self._has_order_n(a):
-                return a
-        raise RuntimeError("no primitive element found")  # pragma: no cover
 
     # -- elements ------------------------------------------------------------
 
@@ -153,34 +131,28 @@ class Field:
             return self._exp, self._log, self._zech
         if self.m > LOG_TABLE_MAX_DEGREE:
             raise ValueError(
-                f"tables limited to m <= {LOG_TABLE_MAX_DEGREE}, got m={self.m}"
+                f"Zech tables exist only for m <= {LOG_TABLE_MAX_DEGREE}; "
+                f"got m={self.m}"
             )
         m, n = self.m, self.order
         top = 3 ** (m - 1)  # code of one, and the weight of the top digit
+        # a*x: drop the lowest digit c (the x^(m-1) coefficient) and add
+        # -c*tail digit by digit, high and low halves by lookup
+        k = m // 2
+        low = 3**k
+        tail = self.modulus.coeffs[:m]
+        hi = [
+            [low * h for h in _digitwise_adder(tail[: m - k], -c)]
+            for c in range(3)
+        ]
+        lo = [_digitwise_adder(tail[m - k :], -c) for c in range(3)]
         exp = [0] * n
-        if self._alpha == Poly.x():
-            # a*x: drop the lowest digit c (the x^(m-1) coefficient) and
-            # add -c*tail digit by digit, high and low halves by lookup
-            k = m // 2
-            low = 3**k
-            tail = self.modulus.coeffs[:m]
-            hi = [
-                [low * h for h in _digitwise_adder(tail[: m - k], -c)]
-                for c in range(3)
-            ]
-            lo = [_digitwise_adder(tail[m - k :], -c) for c in range(3)]
-            a = top
-            for i in range(n):
-                exp[i] = a
-                c = a % 3
-                a //= 3
-                a = hi[c][a // low] + lo[c][a % low]
-        else:
-            p = self.one
-            for i in range(n):
-                exp[i] = self.encode(p)
-                p = p * self._alpha % self.modulus
-            a = self.encode(p)
+        a = top
+        for i in range(n):
+            exp[i] = a
+            c = a % 3
+            a //= 3
+            a = hi[c][a // low] + lo[c][a % low]
         if a != top:
             raise RuntimeError("generator order mismatch")  # pragma: no cover
         log = [ZECH_ZERO] * (3 * top)
@@ -227,9 +199,17 @@ def _digitwise_adder(vec: tuple, scale: int) -> list[int]:
     return table
 
 
+def _x_is_primitive(f: Poly) -> bool:
+    """Whether x generates the multiplicative group modulo f.  f must be
+    irreducible, so a nonzero x has x^n = 1 for n = 3^deg(f) - 1 already,
+    and it is primitive iff x^(n/q) != 1 for every prime q | n."""
+    n = 3**f.degree - 1
+    x = Poly.x() % f
+    one = Poly.one()
+    return bool(x) and all(powmod(x, n // q, f) != one for q in prime_factors(n))
+
+
 def _canonical_modulus(m: int) -> Poly:
-    n = 3**m - 1
-    primes = prime_factors(n) if n > 1 else ()
     # primitive x needs x^(n/2) = -1, and x^(n/2) is the norm (-1)^m * c0;
     # that fixes the constant term.  Only candidates with c0 = required_c0
     # are built, in monic_polys(m) order, so the first hit is the one a
@@ -237,16 +217,7 @@ def _canonical_modulus(m: int) -> Poly:
     required_c0 = 2 if m % 2 == 0 else 1
     for tail in itertools.product(range(3), repeat=m - 1):
         f = Poly((required_c0,) + tail + (1,))
-        if not is_irreducible(f):
-            continue
-        x = Poly.x() % f
-        if m == 1:
-            # residue of x is a constant; primitive iff it generates GF(3)^*
-            if x == Poly((2,)):
-                return f
-            continue
-        ok = all(powmod(x, n // q, f) != Poly.one() for q in primes)
-        if ok:
+        if is_irreducible(f) and _x_is_primitive(f):
             return f
     raise RuntimeError(f"no primitive modulus of degree {m}")  # pragma: no cover
 

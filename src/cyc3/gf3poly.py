@@ -78,10 +78,6 @@ class Poly:
     def x(cls) -> "Poly":
         return cls((0, 1))
 
-    @classmethod
-    def parse(cls, text: str) -> "Poly":
-        return parse_poly(text)
-
     @property
     def coeffs(self) -> tuple[int, ...]:
         """Ascending coefficients, trailing zeros dropped."""
@@ -218,13 +214,6 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         return _reduce(self, other)
-
-    def __call__(self, x: int) -> int:
-        """Evaluate at a GF(3) point by Horner's rule."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % 3
-        return acc
 
     def derivative(self) -> "Poly":
         # i * c_i is c_i for i = 1 mod 3, -c_i for i = 2 mod 3, else 0

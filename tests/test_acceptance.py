@@ -10,6 +10,7 @@ is reported, not hidden.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -233,14 +234,18 @@ def test_09_family_report_is_byte_deterministic():
     print("PASS criterion 9: identical bytes across runs")
 
 
-def test_reproduce_results_script_replays_every_result():
+def test_reproduce_results_script_replays_every_result(tmp_path):
     # the script reads the reports' solution lists and witnesses; it takes
-    # well under a second, run from the repository root as documented
+    # well under a second, and runs from any directory: started elsewhere,
+    # with no PYTHONPATH, it still imports the checkout's own src
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_results.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = timed(
         30,
         subprocess.run,
-        [sys.executable, "scripts/reproduce_results.py"],
-        cwd=Path(__file__).resolve().parents[1],
+        [sys.executable, str(script)],
+        cwd=tmp_path,
+        env=env,
         capture_output=True,
         text=True,
         timeout=60,

@@ -116,12 +116,42 @@ def test_custom_modulus_validation():
 
 
 def test_custom_modulus_with_nonprimitive_x():
-    # x has order 4 mod x^2+1, so the generator scan must move past it
-    field = Field(2, modulus=parse_poly("x^2+1"))
-    assert field.exp_of_generator(1) != Poly.x()
-    assert field.exp_of_generator(8) == field.one
-    assert field.exp_of_generator(4) != field.one
-    assert field.exp_of_generator(2) != field.one
+    # x has order 4 mod x^2+1, and x is zero mod x; x must generate
+    for m, modulus in [(2, "x^2+1"), (1, "x")]:
+        with pytest.raises(ValueError, match="x is not primitive modulo"):
+            Field(m, modulus=parse_poly(modulus))
+
+
+def _order_of_x_by_stepping(f):
+    # f is irreducible: multiply by x until the product returns to one
+    x = Poly.x() % f
+    if not x:
+        return None  # f = x
+    p, order = x, 1
+    while p != Poly.one():
+        p = p * x % f
+        order += 1
+    return order
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_explicit_modulus_builds_exactly_when_x_is_primitive(m):
+    # every monic irreducible of degree m: the field builds iff stepping x
+    # reaches order 3^m - 1, and is refused otherwise
+    built = refused = 0
+    for f in monic_polys(m):
+        if not is_irreducible(f):
+            continue
+        if _order_of_x_by_stepping(f) == 3**m - 1:
+            field = Field(m, modulus=f)
+            assert field.modulus == f
+            assert field.exp_of_generator(1) == Poly.x() % f
+            built += 1
+        else:
+            with pytest.raises(ValueError, match="x is not primitive"):
+                Field(m, modulus=f)
+            refused += 1
+    assert built and refused
 
 
 def mul4(a, b):
@@ -274,10 +304,13 @@ def test_tables_match_generic_arithmetic(m):
     _check_tables_against_generic_powers(Field(m))
 
 
-def test_tables_with_a_generator_other_than_x():
-    # x has order 4 mod x^2+1, so tables() steps by general multiplication
-    field = Field(2, modulus=parse_poly("x^2+1"))
-    assert field.gen != (0, 1)
+@pytest.mark.parametrize(
+    "modulus", ["x^5+x^4-x^3+1", "x^5+x^4+x^2+1", "x^5-x^3+x^2+1"]
+)
+def test_tables_under_non_canonical_moduli(modulus):
+    # the digit-shift build under tails other than the canonical ones
+    field = Field(5, modulus=parse_poly(modulus))
+    assert field.modulus != build_field(5).modulus
     _check_tables_against_generic_powers(field)
 
 
@@ -308,8 +341,12 @@ def test_zech_addition_formula():
 
 def test_tables_unavailable_above_cap():
     field = build_field(LOG_TABLE_MAX_DEGREE + 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         field.tables()
+    assert str(exc.value) == (
+        f"Zech tables exist only for m <= {LOG_TABLE_MAX_DEGREE}; "
+        f"got m={LOG_TABLE_MAX_DEGREE + 1}"
+    )
 
 
 def test_minus_one_is_half_order_power():

@@ -187,13 +187,6 @@ def test_frobenius_power_is_iterated_cubing():
     assert frobenius_power(X, 3, mod) == powmod(X, 27, mod)
 
 
-def test_eval_horner():
-    f = X ** 3 - X + ONE  # f(2) = 8 - 2 + 1 = 7 = 1 mod 3
-    assert f(2) == 1
-    assert f(0) == 1
-    assert Poly.zero()(2) == 0
-
-
 def test_comparison_orders_by_degree_then_coeffs():
     assert Poly.zero() < ONE < X
     assert X ** 2 < X ** 2 + ONE
