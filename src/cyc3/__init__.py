@@ -3,29 +3,4 @@ optimality certification over GF(3)."""
 
 __version__ = "0.1.0"
 
-from .gf3poly import (  # noqa: F401
-    Factorization,
-    Poly,
-    PolyParseError,
-    factor,
-    format_poly,
-    is_irreducible,
-    parse_poly,
-    poly_gcd,
-)
-from .field import Field, build_field  # noqa: F401
-from .cosets import coset, coset_size_law_check, minimal_polynomial  # noqa: F401
-from .codes import (  # noqa: F401
-    CodeSpec,
-    ConjugateExponentError,
-    build_code,
-    min_weight_leq3_search,
-    sphere_packing_max_d,
-)
-from .conditions import (  # noqa: F401
-    ConditionReport,
-    family_instances,
-    verify_family,
-    verify_optimal,
-)
-from .identities import run_all  # noqa: F401
+from . import codes, conditions, cosets, field, gf3poly, identities  # noqa: F401

@@ -29,16 +29,13 @@ from .codes import (
     min_weight_leq3_search,
     sphere_packing_max_d,
 )
-from .conditions import (
-    ConditionReport,
-    FamilyInstance,
-    verify_family,
-    verify_optimal,
-)
+from .conditions import ConditionReport, verify_family, verify_optimal
 from .cosets import coset, minimal_polynomial
-from .field import LOG_TABLE_MAX_DEGREE, MAX_DEGREE, build_field
-from .gf3poly import Poly, PolyParseError, factor, parse_poly
+from .field import LOG_TABLE_MAX_DEGREE, build_field
+from .gf3poly import PolyParseError, factor, parse_poly, prime_factors
+from .identities import run_all
 
+# the keys of the verify JSON report, with `parameters` spread into n, k, d
 VERIFY_CSV_COLUMNS = [
     "m", "e", "h", "c1", "cosetOk", "gcd", "c2Solutions", "c3Solutions",
     "verdict", "n", "k", "d", "modulus",
@@ -49,23 +46,23 @@ def _bool_text(b: bool) -> str:
     return "true" if b else "false"
 
 
-def _report_csv_cells(report: ConditionReport, field) -> dict[str, str]:
-    n, k, d = report.parameters if report.parameters else ("", "", "")
-    return {
-        "m": str(report.m),
-        "e": str(report.e),
-        "h": "" if report.h is None else str(report.h),
-        "c1": _bool_text(report.c1),
-        "cosetOk": _bool_text(report.coset_ok),
-        "gcd": str(report.gcd_value),
-        "c2Solutions": "|".join(field.format_element(x) for x in report.c2_solutions),
-        "c3Solutions": "|".join(field.format_element(x) for x in report.c3_solutions),
-        "verdict": report.verdict,
-        "n": str(n),
-        "k": str(k),
-        "d": str(d),
-        "modulus": report.modulus,
-    }
+def _csv_row(payload: dict) -> dict[str, str]:
+    """A verify JSON report, as emitted, flattened into csv cells:
+    `parameters` spreads into n, k, d (all empty when it is null), null
+    becomes empty, booleans true/false, and lists are joined with |."""
+    row = {}
+    for key, value in payload.items():
+        if key == "parameters":
+            row.update(_csv_row(value or dict.fromkeys("nkd")))
+        elif value is None:
+            row[key] = ""
+        elif isinstance(value, bool):
+            row[key] = _bool_text(value)
+        elif isinstance(value, list):
+            row[key] = "|".join(value)
+        else:
+            row[key] = str(value)
+    return row
 
 
 def _report_text_lines(report: ConditionReport, field) -> list[str]:
@@ -100,8 +97,6 @@ def _wrap(command: str, body: dict) -> dict:
 
 def _cmd_field_info(args):
     field = build_field(args.m)
-    from .gf3poly import prime_factors
-
     primes = prime_factors(field.order) if field.order > 1 else ()
     generator = field.format_element(field.exp_of_generator(1))
     log_tables = field.m <= LOG_TABLE_MAX_DEGREE
@@ -200,7 +195,7 @@ def _cmd_verify(args):
     report = verify_optimal(field, args.e)
     payload = report.to_json_dict(field)  # bare schema, no wrapper
     text = _report_text_lines(report, field)
-    rows = [_report_csv_cells(report, field)]
+    rows = [_csv_row(payload)]
     code = 0 if report.verdict == "optimal" else 1
     return code, payload, text, (VERIFY_CSV_COLUMNS, rows)
 
@@ -246,17 +241,13 @@ def _cmd_family(args):
     instances_json = []
     csv_rows = []
     for inst, rep in rows:
-        field = build_field(inst.m)
+        report = rep.to_json_dict(build_field(inst.m))
         instances_json.append(
-            {
-                "family": inst.family,
-                "reading": inst.reading,
-                "report": rep.to_json_dict(field),
-            }
+            {"family": inst.family, "reading": inst.reading, "report": report}
         )
-        cells = {"family": inst.family, "reading": inst.reading or ""}
-        cells.update(_report_csv_cells(rep, field))
-        csv_rows.append(cells)
+        csv_rows.append(
+            _csv_row({"family": inst.family, "reading": inst.reading, **report})
+        )
     n_opt = sum(rep.verdict == "optimal" for _, rep in rows)
     body = {
         "name": args.name,
@@ -366,8 +357,6 @@ def _cmd_factor(args):
 
 
 def _cmd_identities(args):
-    from .identities import run_all
-
     checks = run_all()
     payload = _wrap(
         "identities",

@@ -4,7 +4,10 @@ powers.
 Coset arithmetic accepts any prime p (the coset-size law is worth checking
 at that generality); the symbolic algebra elsewhere in the package is GF(3)
 only.  A coset is the orbit of j under multiplication by p mod p^m - 1, its
-leader the smallest member.
+leader the smallest member.  coset() answers for p below 2^COSET_PRIME_BITS
+and p^m - 1 below 2^COSET_MODULUS_BITS and refuses anything larger up
+front: the primality test is trial division, and p**m is not computed until
+its size is known to be in bounds.
 """
 
 from __future__ import annotations
@@ -14,6 +17,10 @@ from math import gcd
 
 from .field import Field
 from .gf3poly import Poly, prime_factors
+
+# coset() refuses p and p^m - 1 longer than this many bits
+COSET_PRIME_BITS = 32
+COSET_MODULUS_BITS = 64
 
 
 def _is_prime(p: int) -> bool:
@@ -36,8 +43,15 @@ def coset(j: int, p: int, m: int) -> Coset:
     """Orbit of j under multiplication by p, as sorted members."""
     if m < 1:
         raise ValueError("m must be positive")
+    if p.bit_length() > COSET_PRIME_BITS:
+        raise ValueError(f"p must be below 2^{COSET_PRIME_BITS}, got {p}")
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
+    # p >= 2^(b - 1) for b = p.bit_length(), so (b - 1) * m above the limit
+    # already puts p^m past it; otherwise p**m has at most 2 * limit bits
+    limit = COSET_MODULUS_BITS
+    if (p.bit_length() - 1) * m > limit or (p**m - 1).bit_length() > limit:
+        raise ValueError(f"p^m - 1 must be below 2^{limit}, got p={p}, m={m}")
     n = p**m - 1
     j %= n
     members = []

@@ -25,7 +25,9 @@ elements() runs in code order).  Multiplying by x then shifts the code one
 digit down and adds a multiple of the modulus tail digit by digit through
 two lookup tables, and adding 1 changes only the top digit, which makes the
 Zech table a single gather from the flat log table.  The same digits,
-comma-joined, are the text form of an element (format_element).
+comma-joined, are the text form of an element (format_element).  Both
+encode and format_element read the element's `coeffs`, padded with zeros to
+m; decode writes its bit planes directly.
 
 Degrees are capped at MAX_DEGREE so every exponent and order fits
 comfortably in machine integers.
@@ -91,17 +93,8 @@ class Field:
     def encode(self, a: Poly) -> int:
         """The code of a: its coefficients as a base-3 numeral, constant
         term most significant."""
-        return int(self._digits(a), 3)
-
-    def _digits(self, a: Poly) -> str:
-        # a's m coefficients, constant term first, read off its bit planes
-        # as decode writes them (a.coeffs would cache a tuple per element):
-        # bit i of a plane becomes decimal digit i of ones or twos, and the
-        # planes are disjoint, so ones + 2 * twos spells the digits
-        m = self.m
-        ones = int(format(a._p1, f"0{m}b")[::-1])
-        twos = int(format(a._p2, f"0{m}b")[::-1])
-        return str(ones + 2 * twos).zfill(m)
+        cs = a.coeffs
+        return int("".join(map(str, cs)) + "0" * (self.m - len(cs)), 3)
 
     def decode(self, code: int) -> Poly:
         low, high_planes, low_planes = self._plane_halves
@@ -171,7 +164,8 @@ class Field:
 
     def format_element(self, a: Poly) -> str:
         """The m coefficients of a, constant term first, comma-joined."""
-        return ",".join(self._digits(a))
+        cs = a.coeffs
+        return ",".join(map(str, cs + (0,) * (self.m - len(cs))))
 
     def __repr__(self) -> str:
         return f"Field(m={self.m}, modulus={self.modulus.format()!r})"

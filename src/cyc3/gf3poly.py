@@ -12,22 +12,24 @@ map, a(x)^3 = a(x^3), which spreads each plane's bits three apart; iterated
 Frobenius powers reduce once per cubing instead of multiplying.
 
 Callers see `coeffs`, the ascending-degree tuple of coefficients in
-{0, 1, 2} (index i holds the coefficient of x^i), derived from the planes
-on first use and cached.  The zero polynomial is the empty
-tuple and reports degree -1, which sorts below every other degree.
+{0, 1, 2} (index i holds the coefficient of x^i), computed from the planes
+on every read; a `Poly` stores nothing else.  The zero polynomial is the
+empty tuple and reports degree -1, which sorts below every other degree.
 Constructor input may be any iterable of ints: signed coefficients are
 reduced mod 3 on ingestion, so -1 becomes 2.
 
 Two text forms are accepted wherever a polynomial is read: a human form like
 "x^6-x^5+x^3+1" (spaces optional) and a list form like "1,0,0,1,0,2,1" giving
-ascending-degree digits.  The human form is the one used in reports.
+ascending-degree digits.  The human form is the one used in reports.  Text
+above degree MAX_POLY_DEGREE is refused before any coefficient list is
+allocated.
 
 Beyond ring arithmetic the module provides division with remainder, monic
 gcd, modular exponentiation, Frobenius powers by iterated cubing, a
 deterministic irreducibility test, and complete factorization.  Factoring
 runs squarefree decomposition, then distinct-degree splitting, then
-equal-degree splitting; the equal-degree stage draws from a seeded generator
-(default seed 0) so output is reproducible bit for bit.
+equal-degree splitting; the equal-degree stage draws from a generator seeded
+with 0, so output is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +37,12 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+
+
+# the highest degree that parse_poly accepts, so that factor stays within
+# its 20 s budget: at this degree a dense random polynomial took 10-14 s and
+# x^D - 1 under a second on a 2-core host, at 3500 up to 19 s
+MAX_POLY_DEGREE = 3000
 
 
 class PolyParseError(ValueError):
@@ -55,16 +63,13 @@ _DIGIT = {("0", "0"): 0, ("1", "0"): 1, ("0", "1"): 2}
 class Poly:
     """A dense polynomial over GF(3), stored as two bit planes."""
 
-    __slots__ = ("_p1", "_p2", "_coeffs")
+    __slots__ = ("_p1", "_p2")
 
     def __init__(self, coeffs=()):
         cs = [c % 3 for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
         digits = "".join(map(str, reversed(cs))) or "0"
         self._p1 = int(digits.translate(_ONES), 2)
         self._p2 = int(digits.translate(_TWOS), 2)
-        self._coeffs = tuple(cs)
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -81,17 +86,12 @@ class Poly:
     @property
     def coeffs(self) -> tuple[int, ...]:
         """Ascending coefficients, trailing zeros dropped."""
-        cs = self._coeffs
-        if cs is None:
-            n = self.degree + 1
-            if n:
-                ones = format(self._p1, f"0{n}b")[::-1]
-                twos = format(self._p2, f"0{n}b")[::-1]
-                cs = tuple(map(_DIGIT.__getitem__, zip(ones, twos)))
-            else:
-                cs = ()
-            self._coeffs = cs
-        return cs
+        n = self.degree + 1
+        if not n:
+            return ()
+        ones = format(self._p1, f"0{n}b")[::-1]
+        twos = format(self._p2, f"0{n}b")[::-1]
+        return tuple(map(_DIGIT.__getitem__, zip(ones, twos)))
 
     @property
     def degree(self) -> int:
@@ -231,8 +231,29 @@ class Poly:
             return 1, self
         return u, self * u  # multiplying by 2 is division by 2 mod 3
 
-    def format(self, style: str = "human") -> str:
-        return format_poly(self, style)
+    def format(self) -> str:
+        """The human text form; parse_poly(p.format()) == p."""
+        cs = self.coeffs
+        if not cs:
+            return "0"
+        parts = []
+        for d in range(len(cs) - 1, -1, -1):
+            c = cs[d]
+            if not c:
+                continue
+            sign = "-" if c == 2 else "+"
+            if d == 0:
+                body = "1"
+            elif d == 1:
+                body = "x"
+            else:
+                body = f"x^{d}"
+            parts.append((sign, body))
+        first_sign, first_body = parts[0]
+        text = (first_sign if first_sign == "-" else "") + first_body
+        for sign, body in parts[1:]:
+            text += sign + body
+        return text
 
 
 _new = object.__new__
@@ -242,7 +263,6 @@ def _poly(p1: int, p2: int) -> Poly:
     p = _new(Poly)
     p._p1 = p1
     p._p2 = p2
-    p._coeffs = None
     return p
 
 
@@ -346,6 +366,10 @@ def _parse_list(text: str) -> Poly:
         at = pos + len(tok) - len(tok.lstrip())
         if core not in ("0", "1", "2"):
             raise PolyParseError("list form digits must be 0, 1, or 2", at)
+        if len(digits) > MAX_POLY_DEGREE:
+            raise PolyParseError(
+                f"list form has more than {MAX_POLY_DEGREE + 1} digits", at
+            )
         digits.append(int(core))
         pos += len(tok) + 1
     return Poly(digits)
@@ -361,7 +385,7 @@ def _parse_human(text: str) -> Poly:
 
     def read_int(i):
         j = i
-        while j < n and text[j].isdigit():
+        while j < n and "0" <= text[j] <= "9":  # isdigit() also takes "²"
             j += 1
         if j == i:
             return None, i
@@ -386,9 +410,12 @@ def _parse_human(text: str) -> Poly:
             i += 1
             j = skip(i)
             if j < n and text[j] == "^":
-                power, i = read_int(skip(j + 1))
+                at = skip(j + 1)
+                power, i = read_int(at)
                 if power is None:
                     raise PolyParseError("expected exponent digits", i)
+                if power > MAX_POLY_DEGREE:
+                    raise PolyParseError(f"exponent above {MAX_POLY_DEGREE}", at)
             else:
                 power = 1
         if coef is None and power is None:
@@ -401,34 +428,6 @@ def _parse_human(text: str) -> Poly:
     for d, c in coeffs.items():
         out[d] = c
     return Poly(out)
-
-
-def format_poly(p: Poly, style: str = "human") -> str:
-    """Render a polynomial; parse_poly(format_poly(p)) == p for both styles."""
-    if style == "list":
-        return ",".join(str(c) for c in p.coeffs) if p.coeffs else "0"
-    if style != "human":
-        raise ValueError(f"unknown style {style!r}")
-    if not p.coeffs:
-        return "0"
-    parts = []
-    for d in range(p.degree, -1, -1):
-        c = p.coeffs[d]
-        if not c:
-            continue
-        sign = "-" if c == 2 else "+"
-        if d == 0:
-            body = "1"
-        elif d == 1:
-            body = "x"
-        else:
-            body = f"x^{d}"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    text = (first_sign if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        text += sign + body
-    return text
 
 
 def monic_polys(degree: int):
@@ -471,9 +470,7 @@ def frobenius_power(a: Poly, d: int, modulus: Poly) -> Poly:
     """a**(3**d) mod modulus, computed by d successive cubings."""
     if d < 0:
         raise ValueError("d must be nonnegative")
-    r = a % modulus if not modulus.is_zero else None
-    if r is None:
-        raise ZeroDivisionError("zero modulus")
+    r = a % modulus
     if modulus.degree < 1:
         raise ValueError("modulus must have degree >= 1")
     for _ in range(d):
@@ -508,9 +505,9 @@ def is_irreducible(f: Poly) -> bool:
         raise ValueError("irreducibility is defined for degree >= 1")
     f = f.monic()[1]
     d = f.degree
-    x = Poly.x() % f
-    if frobenius_power(Poly.x(), d, f) != x:
+    if not roots_in_extension(f, d):
         return False
+    x = Poly.x() % f
     for p in prime_factors(d):
         g = poly_gcd(frobenius_power(Poly.x(), d // p, f) - x, f)
         if g.degree != 0:
@@ -559,8 +556,7 @@ def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
     # f monic squarefree; returns [(product of irreducibles of degree d, d)]
     out = []
     v = f
-    xq = Poly.x() % f
-    x = Poly.x() % f
+    x = xq = Poly.x() % f
     d = 0
     while v.degree >= 2 * (d + 1):
         d += 1
@@ -602,18 +598,19 @@ def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:
     return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
 
 
-def factor(f: Poly, seed: int = 0) -> Factorization:
+def factor(f: Poly) -> Factorization:
     """Complete factorization into monic irreducibles.
 
-    The result is deterministic for a given seed: factors are sorted by
-    degree, then by ascending coefficient sequence.
+    The result is deterministic: the equal-degree split draws from a
+    generator seeded with 0, and factors are sorted by degree, then by
+    ascending coefficient sequence.
     """
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     unit, fm = f.monic()
     if fm.degree == 0:
         return Factorization(unit, ())
-    rng = random.Random(seed)
+    rng = random.Random(0)
     counts: dict[Poly, int] = {}
     for part, mult in squarefree_decomposition(fm):
         for prod, d in _distinct_degree(part):

@@ -133,6 +133,29 @@ def test_factor_parse_error_exit_two(capsys):
     assert "position" in err
 
 
+@pytest.mark.parametrize("poly", ["x^3000000000", "x^99999999999999999999999"])
+def test_factor_refuses_huge_degrees_up_front(capsys, poly):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "factor", "--poly", poly)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad polynomial: exponent above ")
+
+
+@pytest.mark.parametrize(
+    "p, m",
+    [("1000000000000000003", "2"), ("3", "100000000000"), ("3", "3000000")],
+)
+def test_coset_refuses_huge_inputs_up_front(capsys, p, m):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "coset", "--p", p, "--m", m, "--j", "3")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert "must be below 2^" in err
+
+
 def test_identities_exit_zero(capsys):
     code, out, _ = run_cli(capsys, "identities", "--format", "json")
     assert code == 0

@@ -1,5 +1,7 @@
 """Cyclotomic cosets mod p^m - 1 and minimal polynomials."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -47,6 +49,29 @@ def test_coset_input_validation():
         coset(1, 4, 3)  # p not prime
     with pytest.raises(ValueError):
         coset(1, 3, 0)
+
+
+def test_coset_accepts_the_edges_of_its_envelope():
+    assert coset(3, 2**32 - 5, 2).size == 2  # the largest prime below 2^32
+    assert coset(1, 2, 64).size == 64  # 2^64 - 1 is just below the limit
+    assert coset(1, 3, 40).size == 40  # 3^40 - 1 < 2^64 < 3^41 - 1
+    assert coset(14, 3, 20).size == 20
+
+
+@pytest.mark.parametrize(
+    "j, p, m, message",
+    [
+        (3, 10**18 + 3, 2, "p must be below 2^32"),  # prime, far too large
+        (3, 2**32 + 15, 1, "p must be below 2^32"),  # the first prime past it
+        (1, 2, 65, "p^m - 1 must be below 2^64"),
+        (1, 3, 41, "p^m - 1 must be below 2^64"),
+        (1, 3, 3 * 10**6, "p^m - 1 must be below 2^64"),
+        (1, 3, 10**11, "p^m - 1 must be below 2^64"),
+    ],
+)
+def test_coset_refuses_beyond_its_envelope(j, p, m, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        coset(j, p, m)
 
 
 @given(st.integers(min_value=0, max_value=79))

@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyc3.gf3poly import (
+    MAX_POLY_DEGREE,
     Factorization,
     _half_power,
     Poly,
     PolyParseError,
     factor,
-    format_poly,
     frobenius_power,
     is_irreducible,
     monic_polys,
@@ -187,6 +187,15 @@ def test_frobenius_power_is_iterated_cubing():
     assert frobenius_power(X, 3, mod) == powmod(X, 27, mod)
 
 
+def test_frobenius_power_refuses_degenerate_moduli():
+    with pytest.raises(ZeroDivisionError):
+        frobenius_power(X, 2, Poly.zero())
+    with pytest.raises(ValueError):
+        frobenius_power(X, 2, Poly((2,)))
+    with pytest.raises(ValueError):
+        frobenius_power(X, -1, X ** 2 + ONE)
+
+
 def test_comparison_orders_by_degree_then_coeffs():
     assert Poly.zero() < ONE < X
     assert X ** 2 < X ** 2 + ONE
@@ -222,6 +231,30 @@ def test_parse_error_positions():
         parse_poly("")
     with pytest.raises(PolyParseError):
         parse_poly("x^2 * x")
+    # "²".isdigit() holds, but int() cannot read it: only ASCII digits count
+    with pytest.raises(PolyParseError) as exc:
+        parse_poly("x^²")
+    assert exc.value.position == 2
+
+
+def test_parse_accepts_the_degree_cap():
+    assert MAX_POLY_DEGREE >= 2186  # x^(3^7-1) - 1 stays readable
+    assert parse_poly(f"x^{MAX_POLY_DEGREE}") == X ** MAX_POLY_DEGREE
+    digits = ",".join(["0"] * MAX_POLY_DEGREE + ["1"])
+    assert parse_poly(digits) == X ** MAX_POLY_DEGREE
+
+
+def test_parse_refuses_above_the_degree_cap():
+    # huge exponents are refused before any coefficient list is allocated
+    for text in (f"x^{MAX_POLY_DEGREE + 1}-1", "x^3000000000", "x^" + "9" * 23):
+        with pytest.raises(PolyParseError) as exc:
+            parse_poly(text)
+        assert exc.value.position == 2
+    # the list form is refused by length, trailing zeros included
+    digits = ",".join(["1"] + ["0"] * (MAX_POLY_DEGREE + 1))
+    with pytest.raises(PolyParseError) as exc:
+        parse_poly(digits)
+    assert exc.value.position == 2 * (MAX_POLY_DEGREE + 1)
 
 
 def test_format_renders_two_as_minus():
@@ -238,7 +271,7 @@ def test_format_parse_round_trip_human(f):
 
 @given(polys)
 def test_format_parse_round_trip_list(f):
-    assert parse_poly(format_poly(f, style="list")) == f
+    assert parse_poly(",".join(map(str, f.coeffs)) or "0") == f
 
 
 # -- irreducibility and factoring ------------------------------------------
