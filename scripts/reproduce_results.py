@@ -42,7 +42,8 @@ def main() -> int:
 
     section("certified optimal codes")
     cases = [(4, 14), (6, 86), (8, 86), (10, 734)]
-    for m, e in cases:
+    beyond_the_paper = [(11, 248), (12, 734)]
+    for m, e in cases + beyond_the_paper:
         r = verify_optimal(build_field(m), e)
         n = 3 ** m - 1
         expect(
@@ -51,7 +52,7 @@ def main() -> int:
         )
 
     section("sphere packing caps the distance at 4")
-    for m in (4, 6, 8, 10):
+    for m, _ in cases + beyond_the_paper:
         n = 3 ** m - 1
         expect(
             sphere_packing_max_d(n, n - 2 * m, 3) == 4,
@@ -118,7 +119,7 @@ def main() -> int:
     for m in (2, 4, 5, 6):
         rep = coset_size_law_check(3, m)
         expect(rep.violations == (), f"size law at m={m} ({rep.checked} exponents)")
-    for m, h in [(4, 2), (6, 4), (8, 4), (10, 6)]:
+    for m, h in [(4, 2), (6, 4), (8, 4), (10, 6), (12, 6)]:
         expect(gcd_chain_check(m, h) == 2, f"gcd chain (m={m}, h={h}) = 2")
 
     print(f"\n{'ALL RESULTS REPRODUCED' if not failures else 'MISMATCHES FOUND'} "

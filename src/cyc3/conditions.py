@@ -12,7 +12,9 @@ The verdict is optimal exactly when all four hold; the certified parameters
 are then [3^m-1, 3^m-1-2m, 4].  Conditions 3 and 4 are decided by exhaustive
 enumeration of the field, not by the algebraic reductions verified in the
 identities module; keeping the two routes independent is what makes their
-agreement meaningful.
+agreement meaningful.  One walk over the Zech logarithms decides both: at
+x = alpha^i each equation compares the logarithms of (x+1)^e and x^e + 1,
+and the two differ only by the logarithm of -1, which is n/2.
 
 The module also generates the exponent families under study: e = 3^h + 5
 with h tied to m/2, and, for odd m coprime to 3, three families tied to the
@@ -79,32 +81,39 @@ def check_c1(e: int) -> bool:
     return e % 2 == 0
 
 
-def _solutions_table(field: Field, e: int, sign: int) -> list[Poly]:
-    """Solutions of (x+1)^e + sign*(x^e + 1) = 0 via Zech logarithms, in
-    code order."""
+def _solutions_table(
+    field: Field, e: int
+) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
+    """Solutions of (x+1)^e - x^e - 1 = 0 and of (x+1)^e + x^e + 1 = 0 via
+    Zech logarithms, each in code order, from one walk over the powers of
+    the generator."""
     exp, _, zech = field.tables()
     n = field.order
     half = n // 2
     emod = e % n
-    codes = []
-    if sign < 0:
-        codes.append(0)  # x = 0: (0+1)^e - 0 - 1 = 0 always
-    # x = -1 solves both variants iff e is odd: 0 +- ((-1)^e + 1)
+    c2 = [0]  # x = 0: (0+1)^e - 0 - 1 = 0 always
+    c3 = []
+    # x = -1 solves both iff e is odd: 0 +- ((-1)^e + 1)
     if emod * half % n == half:
-        codes.append(exp[half])
-    offset = 0 if sign < 0 else half  # RHS is +-(x^e + 1)
+        c2.append(exp[half])
+        c3.append(exp[half])
     ie = 0
     for i in range(n):
         if i == half:
             ie = (ie + emod) % n
             continue
         if ie != half:
-            # (x+1)^e = alpha^(zech[i]*e); +-(x^e+1) = alpha^(zech[ie]+offset)
-            if zech[i] * emod % n == (zech[ie] + offset) % n:
-                codes.append(exp[i])
+            # (x+1)^e = alpha^lhs and x^e + 1 = alpha^rhs; -1 = alpha^half
+            lhs = zech[i] * emod % n
+            rhs = zech[ie]
+            if lhs == rhs:
+                c2.append(exp[i])
+            elif lhs == (rhs + half) % n:
+                c3.append(exp[i])
         ie = (ie + emod) % n
-    codes.sort()
-    return list(map(field.decode, codes))
+    c2.sort()
+    c3.sort()
+    return tuple(map(field.decode, c2)), tuple(map(field.decode, c3))
 
 
 def _solutions_generic(field: Field, e: int, sign: int) -> list[Poly]:
@@ -123,12 +132,12 @@ def _solutions_generic(field: Field, e: int, sign: int) -> list[Poly]:
 
 def check_c2(field: Field, e: int) -> tuple[Poly, ...]:
     """All x with (x+1)^e - x^e - 1 = 0, in code order."""
-    return tuple(_solutions_table(field, e, -1))
+    return _solutions_table(field, e)[0]
 
 
 def check_c3(field: Field, e: int) -> tuple[Poly, ...]:
     """All x with (x+1)^e + x^e + 1 = 0, in code order."""
-    return tuple(_solutions_table(field, e, +1))
+    return _solutions_table(field, e)[1]
 
 
 def gcd_chain_check(m: int, h: int) -> int:
@@ -170,7 +179,7 @@ def _derive_h(e: int) -> int | None:
 def verify_optimal(field: Field, e: int, h: int | None = None) -> ConditionReport:
     """Full certification of one (m, e); never raises on a failing
     condition, that is what the verdict is for.  An m without Zech tables
-    is refused (ValueError) by the first scan's field.tables()."""
+    is refused (ValueError) by the scan's field.tables()."""
     m, n = field.m, field.order
     if not 1 <= e <= n - 1:
         raise ValueError(f"e must be in [1, {n - 1}], got {e}")
@@ -179,8 +188,7 @@ def verify_optimal(field: Field, e: int, h: int | None = None) -> ConditionRepor
     cos_1 = coset(1, 3, m)
     coset_ok = e % n not in cos_1.members and cos_e.size == m
     gcd_value = math.gcd(e, n)
-    c2 = check_c2(field, e)
-    c3 = check_c3(field, e)
+    c2, c3 = _solutions_table(field, e)
     optimal = (
         c1 and coset_ok and c2 == (field.zero,) and c3 == (field.one,)
     )

@@ -383,13 +383,11 @@ def _parse_human(text: str) -> Poly:
             i += 1
         return i
 
-    def read_int(i):
+    def read_digits(i):
         j = i
         while j < n and "0" <= text[j] <= "9":  # isdigit() also takes "²"
             j += 1
-        if j == i:
-            return None, i
-        return int(text[i:j]), j
+        return text[i:j], j
 
     coeffs: dict[int, int] = {}
     i = skip(0)
@@ -403,7 +401,9 @@ def _parse_human(text: str) -> Poly:
             i = skip(i + 1)
         elif not first:
             raise PolyParseError("expected '+' or '-'", i)
-        coef, i = read_int(i)
+        digits, i = read_digits(i)
+        # a number and its digit sum agree mod 3, however long the number
+        coef = sum(map(int, digits)) if digits else None
         i = skip(i)
         power = None
         if i < n and text[i] == "x":
@@ -411,11 +411,17 @@ def _parse_human(text: str) -> Poly:
             j = skip(i)
             if j < n and text[j] == "^":
                 at = skip(j + 1)
-                power, i = read_int(at)
-                if power is None:
+                digits, i = read_digits(at)
+                if not digits:
                     raise PolyParseError("expected exponent digits", i)
-                if power > MAX_POLY_DEGREE:
+                # judged by length first: int() refuses very long digit runs
+                significant = digits.lstrip("0") or "0"
+                if (
+                    len(significant) > len(str(MAX_POLY_DEGREE))
+                    or int(significant) > MAX_POLY_DEGREE
+                ):
                     raise PolyParseError(f"exponent above {MAX_POLY_DEGREE}", at)
+                power = int(significant)
             else:
                 power = 1
         if coef is None and power is None:
@@ -554,17 +560,20 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
 
 def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
     # f monic squarefree; returns [(product of irreducibles of degree d, d)]
+    # xq is x^(3^d) mod v; v divides f, so gcd(xq - x, v) is the same as
+    # with xq reduced mod f, and the shrinking v keeps every step small
     out = []
     v = f
-    x = xq = Poly.x() % f
+    x = xq = Poly.x()
     d = 0
     while v.degree >= 2 * (d + 1):
         d += 1
-        xq = xq.cube() % f
+        xq = xq.cube() % v
         g = poly_gcd(xq - x, v)
         if g.degree > 0:
             out.append((g, d))
             v = v // g
+            xq = xq % v
     if v.degree > 0:
         out.append((v, v.degree))
     return out

@@ -236,7 +236,7 @@ def test_09_family_report_is_byte_deterministic():
 
 def test_reproduce_results_script_replays_every_result(tmp_path):
     # the script reads the reports' solution lists and witnesses; it takes
-    # well under a second, and runs from any directory: started elsewhere,
+    # about a second, and runs from any directory: started elsewhere,
     # with no PYTHONPATH, it still imports the checkout's own src
     script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_results.py"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}

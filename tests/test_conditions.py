@@ -12,6 +12,8 @@ from cyc3.conditions import (
     _solutions_generic,
     _solutions_table,
     check_c1,
+    check_c2,
+    check_c3,
     conclusion_family_instances,
     family_instances,
     gcd_chain_check,
@@ -113,13 +115,15 @@ def test_h_derived_only_for_power_of_three_offsets():
 
 
 def test_table_and_generic_scans_agree_at_m4():
-    for e in range(2, 80, 2):
-        assert _solutions_table(f4, e, -1) == _solutions_generic(
-            f4, e, -1
-        )
-        assert _solutions_table(f4, e, +1) == _solutions_generic(
-            f4, e, +1
-        )
+    # every e at m = 1..4; an odd e puts x = -1 into both lists
+    for m in range(1, 5):
+        field = build_field(m)
+        minus_one = -field.one
+        for e in range(1, field.order):
+            c2, c3 = _solutions_table(field, e)
+            assert c2 == tuple(_solutions_generic(field, e, -1)), (m, e)
+            assert c3 == tuple(_solutions_generic(field, e, +1)), (m, e)
+            assert (minus_one in c2) == (minus_one in c3) == (e % 2 == 1)
 
 
 def test_table_and_generic_scans_agree_on_sampled_leaders_at_m7():
@@ -129,16 +133,13 @@ def test_table_and_generic_scans_agree_on_sampled_leaders_at_m7():
     field = build_field(7)
     leaders = sorted({coset(e, 3, 7).leader for e in range(2, field.order, 2)})
     with_extra = [
-        e
-        for e in leaders
-        if len(_solutions_table(field, e, -1)) + len(_solutions_table(field, e, +1)) > 2
+        e for e in leaders if sum(map(len, _solutions_table(field, e))) > 2
     ]
     rng = random.Random(7)
     for e in rng.sample(leaders, 2) + [rng.choice(with_extra)]:
-        for sign in (-1, +1):
-            assert _solutions_table(field, e, sign) == _solutions_generic(
-                field, e, sign
-            ), (e, sign)
+        c2, c3 = _solutions_table(field, e)
+        assert c2 == tuple(_solutions_generic(field, e, -1)), e
+        assert c3 == tuple(_solutions_generic(field, e, +1)), e
 
 
 def test_generic_scan_reads_no_table():
@@ -149,10 +150,8 @@ def test_generic_scan_reads_no_table():
     field._exp = exp[1:] + exp[:1]
     field._log = [ZECH_ZERO] + [(i + 7) % field.order for i in log[1:]]
     for e in (4, 14, 22):
-        for sign in (-1, +1):
-            assert _solutions_generic(field, e, sign) == _solutions_table(
-                f4, e, sign
-            )
+        for sign, check in ((-1, check_c2), (+1, check_c3)):
+            assert tuple(_solutions_generic(field, e, sign)) == check(f4, e)
 
 
 def test_scans_refused_above_the_table_cap(monkeypatch):
@@ -179,9 +178,9 @@ def test_table_scan_matches_direct_arithmetic_sampled_at_m11():
     e = 248
     rng = random.Random(248)
     sample = [Poly([rng.randrange(3) for _ in range(11)]) for _ in range(300)]
-    for sign in (-1, +1):
-        solutions = _solutions_table(field, e, sign)
-        assert solutions == ([field.zero] if sign < 0 else [field.one])
+    c2, c3 = _solutions_table(field, e)
+    assert (c2, c3) == ((field.zero,), (field.one,))
+    for sign, solutions in ((-1, c2), (+1, c3)):
 
         def solves(x):
             lhs = powmod(x + field.one, e, field.modulus)
@@ -204,9 +203,7 @@ def test_the_exponent_122_counterexample():
     assert len(r.c2_solutions) == 61
     assert len(r.c3_solutions) == 61
     # the scan result is not a table artifact
-    assert _solutions_table(f5, 122, -1) == _solutions_generic(
-        f5, 122, -1
-    )
+    assert check_c2(f5, 122) == tuple(_solutions_generic(f5, 122, -1))
     # 2e = n + 2, so x^e = +-x on the two square classes
     assert (2 * 122) % 242 == 2
 

@@ -242,11 +242,23 @@ def test_parse_accepts_the_degree_cap():
     assert parse_poly(f"x^{MAX_POLY_DEGREE}") == X ** MAX_POLY_DEGREE
     digits = ",".join(["0"] * MAX_POLY_DEGREE + ["1"])
     assert parse_poly(digits) == X ** MAX_POLY_DEGREE
+    # digit runs longer than int() converts (4300 digits) still parse: an
+    # exponent by its significant digits, a coefficient mod 3
+    assert parse_poly("x^" + "0" * 4400 + "5") == X ** 5
+    assert parse_poly("1" * 5000 + "x") == 2 * X  # 5000 ones = 2 mod 3
+    assert parse_poly("-" + "2" * 4301) == Poly((2,))
+    assert parse_poly("12345678901234567891x^2") == X ** 2
 
 
 def test_parse_refuses_above_the_degree_cap():
     # huge exponents are refused before any coefficient list is allocated
-    for text in (f"x^{MAX_POLY_DEGREE + 1}-1", "x^3000000000", "x^" + "9" * 23):
+    for text in (
+        f"x^{MAX_POLY_DEGREE + 1}-1",
+        "x^3000000000",
+        "x^" + "9" * 23,
+        "x^" + "9" * 4400,
+        "x^00" + "1" + "0" * 4400 + "+1",
+    ):
         with pytest.raises(PolyParseError) as exc:
             parse_poly(text)
         assert exc.value.position == 2
