@@ -145,30 +145,35 @@ def min_weight_leq3_search(field: Field, e: int) -> WeightWitness:
     # the smallest gap to position 0 is a hit at j = that gap (k = j + the
     # next gap > j).  So every word is met at some j <= n // 3, and the
     # first hit, the witness, is the one a scan over every j finds first.
+    #
+    # The first coordinates need the Zech logarithm of j + o2 - o1, which
+    # is j when lam1 = lam2 and j + n/2 otherwise.  As 1 <= j <= n // 3,
+    # neither is n/2, so the first coordinates never cancel, and the two
+    # logarithms are read once per j.
     ej = 0
     for j in range(1, n // 3 + 1):
         ej += emod
         if ej >= n:
             ej -= n
-        for o1 in (0, half):  # lam1 = 1, 2
-            for o2 in (0, half):  # lam2 = 1, 2
-                d1 = (j + o2 - o1) % n
-                if d1 == half:
-                    continue  # first coordinates cancel; no third column
-                k = (o1 + zech[d1] + half) % n
-                if k <= j:
-                    continue
-                d2 = (ej + o2 - o1) % n
-                if d2 == half:
-                    continue  # second coordinates cancel
-                if k * emod % n == (o1 + zech[d2] + half) % n:
-                    lam1 = 1 if o1 == 0 else 2
-                    lam2 = 1 if o2 == 0 else 2
-                    # scale by lam1^-1 = lam1 so the first value is 1
-                    positions = (0, j, k)
-                    values = (1, lam1 * lam2 % 3, lam1)
-                    _confirm_witness(field, e, positions, values)
-                    return WeightWitness("found", positions, values)
+        same, other = zech[j], zech[j + half]
+        # (lam1, lam2) = (1, 1), (1, 2), (2, 1), (2, 2)
+        for o1, o2, z1 in (
+            (0, 0, same), (0, half, other), (half, 0, other), (half, half, same)
+        ):
+            k = (o1 + z1 + half) % n
+            if k <= j:
+                continue
+            d2 = (ej + o2 - o1) % n
+            if d2 == half:
+                continue  # second coordinates cancel
+            if k * emod % n == (o1 + zech[d2] + half) % n:
+                lam1 = 1 if o1 == 0 else 2
+                lam2 = 1 if o2 == 0 else 2
+                # scale by lam1^-1 = lam1 so the first value is 1
+                positions = (0, j, k)
+                values = (1, lam1 * lam2 % 3, lam1)
+                _confirm_witness(field, e, positions, values)
+                return WeightWitness("found", positions, values)
     return WeightWitness("no_word_below_4")
 
 

@@ -9,12 +9,30 @@ The decision procedure evaluates, for a given (m, e):
   4. (x+1)^e + x^e + 1 = 0 has 1 as its only solution.
 
 The verdict is optimal exactly when all four hold; the certified parameters
-are then [3^m-1, 3^m-1-2m, 4].  Conditions 3 and 4 are decided by exhaustive
-enumeration of the field, not by the algebraic reductions verified in the
-identities module; keeping the two routes independent is what makes their
-agreement meaningful.  One walk over the Zech logarithms decides both: at
-x = alpha^i each equation compares the logarithms of (x+1)^e and x^e + 1,
-and the two differ only by the logarithm of -1, which is n/2.
+are then [3^m-1, 3^m-1-2m, 4].  Conditions 3 and 4 are decided by a scan
+of the field, not by the algebraic reductions verified in the identities
+module.  Those reductions are the paper's proof, and only for the exponents
+e = 3^h + 5; the scan checks the proof's conclusion for any e, so it must
+not lean on it, and keeping the two routes independent is what makes their
+agreement meaningful.  The scan uses only two symmetries that hold for
+every e:
+
+  * Both equations have coefficients in GF(3), so cubing, the Frobenius
+    map, sends a solution to a solution.
+  * Substituting 1/x for a nonzero x multiplies each left-hand side by
+    x^(-e): (1/x + 1)^e - (1/x)^e - 1 = x^(-e) * ((x + 1)^e - 1 - x^e),
+    and the same holds with both minus signs made plus.  So the inverse
+    of a nonzero solution is a solution.
+
+With x = alpha^i these maps are i -> 3i and i -> -i, so each solution set
+is a union of orbits of the group <3, -1> acting on Z_n (n = 3^m - 1) by
+multiplication.  The scan tests one point per orbit, its least logarithm,
+and lists the whole orbit of every hit: about n / (2m) points instead of
+n.  x = 0, which has no logarithm, and x = -1, where x + 1 vanishes
+(i = n/2, an orbit of its own), are decided apart.  One comparison of Zech
+logarithms decides both equations at each point: at x = alpha^i each
+compares the logarithms of (x+1)^e and x^e + 1, and the two differ only by
+the logarithm of -1, which is n/2.
 
 The module also generates the exponent families under study: e = 3^h + 5
 with h tied to m/2, and, for odd m coprime to 3, three families tied to the
@@ -28,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .codes import build_code
 from .cosets import coset
@@ -81,12 +100,33 @@ def check_c1(e: int) -> bool:
     return e % 2 == 0
 
 
+@lru_cache(maxsize=None)
+def _orbit_leaders(n: int) -> tuple[int, ...]:
+    """The least member of every orbit of <3, -1> on Z_n, n = 3^m - 1,
+    except the fixed point n/2, in ascending order.  It depends on n alone,
+    so every modulus of one degree shares it."""
+    seen = bytearray(n)
+    seen[n // 2] = 1
+    leaders = []
+    i = seen.find(0)
+    while i >= 0:
+        leaders.append(i)
+        j = i
+        while True:  # the coset of i and its negation; seen[-j] is seen[n - j]
+            seen[j] = seen[-j] = 1
+            j = j * 3 % n
+            if j == i:
+                break
+        i = seen.find(0, i + 1)
+    return tuple(leaders)
+
+
 def _solutions_table(
     field: Field, e: int
 ) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
     """Solutions of (x+1)^e - x^e - 1 = 0 and of (x+1)^e + x^e + 1 = 0 via
-    Zech logarithms, each in code order, from one walk over the powers of
-    the generator."""
+    Zech logarithms, each in code order, from one walk over the orbit
+    leaders of <3, -1>; every hit stands for its whole orbit."""
     exp, _, zech = field.tables()
     n = field.order
     half = n // 2
@@ -97,20 +137,22 @@ def _solutions_table(
     if emod * half % n == half:
         c2.append(exp[half])
         c3.append(exp[half])
-    ie = 0
-    for i in range(n):
-        if i == half:
-            ie = (ie + emod) % n
+    for i in _orbit_leaders(n):
+        ie = i * emod % n
+        if ie == half:
+            continue  # x^e + 1 = 0 while x + 1 != 0: neither equation
+        # (x+1)^e = alpha^lhs and x^e + 1 = alpha^rhs; -1 = alpha^half
+        lhs = zech[i] * emod % n
+        rhs = zech[ie]
+        if lhs == rhs:
+            hits = c2
+        elif lhs == (rhs + half) % n:
+            hits = c3
+        else:
             continue
-        if ie != half:
-            # (x+1)^e = alpha^lhs and x^e + 1 = alpha^rhs; -1 = alpha^half
-            lhs = zech[i] * emod % n
-            rhs = zech[ie]
-            if lhs == rhs:
-                c2.append(exp[i])
-            elif lhs == (rhs + half) % n:
-                c3.append(exp[i])
-        ie = (ie + emod) % n
+        members = coset(i, 3, field.m).members
+        orbit = set(members) | {-j % n for j in members}
+        hits.extend(exp[j] for j in orbit)
     c2.sort()
     c3.sort()
     return tuple(map(field.decode, c2)), tuple(map(field.decode, c3))

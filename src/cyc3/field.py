@@ -15,19 +15,22 @@ and Zech-logarithm tables; tables() is the one place that decides this, and
 every scan that needs them is refused through it.  The Zech table turns
 addition of two generator powers into integer index arithmetic:
 alpha^u + alpha^v = alpha^(u + zech[(v-u) mod n]), with a -1 sentinel where
-the sum is zero.  That is what makes the exhaustive equation scans and the
-weight search fast enough in pure Python.
+the sum is zero.  That is what makes the condition scans and the weight
+search fast enough in pure Python.
 
-The tables hold elements as integer codes: an element's code is its
-coefficient sequence c0, c1, ..., c(m-1) read as a base-3 numeral with the
-constant term as the most significant digit (encode/decode convert, and
-elements() runs in code order).  Multiplying by x then shifts the code one
-digit down and adds a multiple of the modulus tail digit by digit through
-two lookup tables, and adding 1 changes only the top digit, which makes the
-Zech table a single gather from the flat log table.  The same digits,
-comma-joined, are the text form of an element (format_element).  Both
-encode and format_element read the element's `coeffs`, padded with zeros to
-m; decode writes its bit planes directly.
+The tables are `array('i')`: an entry is a C int, where a list entry is a
+pointer to an int object of its own, so they take a fraction of a list's
+memory; an entry reads back as a fresh Python int.  They hold elements as
+integer codes: an element's code is its coefficient sequence c0, c1, ...,
+c(m-1) read as a base-3 numeral with the constant term as the most
+significant digit (encode/decode convert, and elements() runs in code
+order).  Multiplying by x then shifts the code one digit down and adds a
+multiple of the modulus tail digit by digit through two lookup tables, and
+adding 1 changes only the top digit, which makes the Zech table a single
+gather from the flat log table.  The same digits, comma-joined, are the
+text form of an element (format_element).  Both encode and format_element
+read the element's `coeffs`, padded with zeros to m; decode writes its bit
+planes directly.
 
 Degrees are capped at MAX_DEGREE so every exponent and order fits
 comfortably in machine integers.
@@ -36,6 +39,7 @@ comfortably in machine integers.
 from __future__ import annotations
 
 import itertools
+from array import array
 from functools import cached_property, lru_cache
 
 from .gf3poly import Poly, _poly, is_irreducible, powmod, prime_factors
@@ -72,9 +76,9 @@ class Field:
         # the generator's padded coefficient tuple, as the benchmark's
         # field summary reads it; exp_of_generator(1) is the element
         self.gen = self._alpha.coeffs + (0,) * (m - len(self._alpha.coeffs))
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
-        self._zech: list[int] | None = None
+        self._exp: array | None = None
+        self._log: array | None = None
+        self._zech: array | None = None
         self._minpoly_cache: dict[int, Poly] = {}
 
     # -- elements ------------------------------------------------------------
@@ -112,7 +116,7 @@ class Field:
 
     # -- tables --------------------------------------------------------------
 
-    def tables(self) -> tuple[list[int], list[int], list[int]]:
+    def tables(self) -> tuple[array, array, array]:
         """(exp, log, zech) for m <= LOG_TABLE_MAX_DEGREE; built lazily.
 
         exp[i] is the code of alpha^i for i in [0, order); log, indexed by
@@ -139,7 +143,7 @@ class Field:
             for c in range(3)
         ]
         lo = [_digitwise_adder(tail[m - k :], -c) for c in range(3)]
-        exp = [0] * n
+        exp = array("i", [0]) * n
         a = top
         for i in range(n):
             exp[i] = a
@@ -148,7 +152,7 @@ class Field:
             a = hi[c][a // low] + lo[c][a % low]
         if a != top:
             raise RuntimeError("generator order mismatch")  # pragma: no cover
-        log = [ZECH_ZERO] * (3 * top)
+        log = array("i", [ZECH_ZERO]) * (3 * top)
         for i, a in enumerate(exp):
             log[a] = i
         if log.count(ZECH_ZERO) != 1:
@@ -156,7 +160,7 @@ class Field:
         # 1 + a raises the top digit of a's code, wrapping 2 to 0, so
         # plus_one[a] = log[a + top] below 2*top and log[a - 2*top] above
         plus_one = log[top:] + log[:top]
-        zech = list(map(plus_one.__getitem__, exp))
+        zech = array("i", map(plus_one.__getitem__, exp))
         self._exp, self._log, self._zech = exp, log, zech
         return exp, log, zech
 

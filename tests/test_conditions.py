@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cyc3.codes import build_code, is_codeword, min_weight_leq3_search
 from cyc3.conditions import (
     FAMILY_C_READINGS,
+    _orbit_leaders,
     _solutions_generic,
     _solutions_table,
     check_c1,
@@ -21,7 +22,7 @@ from cyc3.conditions import (
     verify_family,
     verify_optimal,
 )
-from cyc3.cosets import coset
+from cyc3.cosets import coset, cosets_partition
 from cyc3.field import ZECH_ZERO, Field, build_field
 from cyc3.gf3poly import Poly, parse_poly, powmod
 
@@ -124,6 +125,96 @@ def test_table_and_generic_scans_agree_at_m4():
             assert c2 == tuple(_solutions_generic(field, e, -1)), (m, e)
             assert c3 == tuple(_solutions_generic(field, e, +1)), (m, e)
             assert (minus_one in c2) == (minus_one in c3) == (e % 2 == 1)
+
+
+def _full_walk(field, e):
+    """Both solution lists from a Zech walk over every logarithm i in
+    [0, n), the scan before the orbit reduction: the reference the orbit
+    scan must reproduce exactly."""
+    exp, _, zech = field.tables()
+    n = field.order
+    half = n // 2
+    emod = e % n
+    c2 = [0]
+    c3 = []
+    if emod * half % n == half:
+        c2.append(exp[half])
+        c3.append(exp[half])
+    ie = 0
+    for i in range(n):
+        if i != half and ie != half:
+            lhs = zech[i] * emod % n
+            rhs = zech[ie]
+            if lhs == rhs:
+                c2.append(exp[i])
+            elif lhs == (rhs + half) % n:
+                c3.append(exp[i])
+        ie = (ie + emod) % n
+    c2.sort()
+    c3.sort()
+    return tuple(map(field.decode, c2)), tuple(map(field.decode, c3))
+
+
+def _even_leaders(m):
+    return sorted({coset(e, 3, m).leader for e in range(2, 3**m - 1, 2)})
+
+
+@pytest.mark.parametrize("m", range(4, 9))
+def test_orbit_scan_matches_the_full_walk_on_every_even_leader(m):
+    # optimality is a coset invariant ((x+1)^(3e) is the cube of
+    # (x+1)^e), so the leaders are every verdict a search can reach
+    field = build_field(m)
+    for e in _even_leaders(m):
+        assert _solutions_table(field, e) == _full_walk(field, e), e
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_orbit_scan_matches_the_full_walk_on_every_even_exponent(m):
+    field = build_field(m)
+    for e in range(2, field.order, 2):
+        assert _solutions_table(field, e) == _full_walk(field, e), e
+
+
+def test_orbit_scan_matches_the_generic_scan_at_m5_m6():
+    # every even leader at m = 5; at m = 6 the oracle costs about 0.15 s
+    # per leader, so a seeded sample of three with solutions beyond the
+    # forced ones and three without
+    cases = [(5, e) for e in _even_leaders(5)]
+    field = build_field(6)
+    extra = {
+        e for e in _even_leaders(6) if sum(map(len, _solutions_table(field, e))) > 2
+    }
+    rng = random.Random(6)
+    cases += [(6, e) for e in rng.sample(sorted(extra), 3)]
+    cases += [(6, e) for e in rng.sample(sorted(set(_even_leaders(6)) - extra), 3)]
+    for m, e in cases:
+        field = build_field(m)
+        c2, c3 = _solutions_table(field, e)
+        assert c2 == tuple(_solutions_generic(field, e, -1)), (m, e)
+        assert c3 == tuple(_solutions_generic(field, e, +1)), (m, e)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_orbit_leaders_partition_the_logarithms(m):
+    # the orbits of the leaders, plus the fixed point n/2, cover Z_n once,
+    # and each leader is the least member of its orbit
+    n = 3**m - 1
+    leaders = _orbit_leaders(n)
+    covered = [n // 2]
+    for i in leaders:
+        members = coset(i, 3, m).members
+        orbit = set(members) | {-j % n for j in members}
+        assert min(orbit) == i
+        covered += orbit
+    assert sorted(covered) == list(range(n))
+    assert list(leaders) == sorted(leaders)
+    # independent count: the cyclotomic cosets, each merged with its
+    # negation, less the orbit {n/2}
+    merged = {
+        frozenset(c.members) | frozenset(-j % n for j in c.members)
+        for c in cosets_partition(3, m)
+    }
+    assert len(leaders) == len(merged) - 1
 
 
 def test_table_and_generic_scans_agree_on_sampled_leaders_at_m7():

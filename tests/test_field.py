@@ -2,11 +2,18 @@
 identities, and the field axioms on reduced residues."""
 
 import itertools
+import json
+import os
+import subprocess
+import sys
+from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cyc3
 from cyc3.conditions import _solutions_table
 from cyc3.field import (
     LOG_TABLE_MAX_DEGREE,
@@ -311,6 +318,68 @@ def test_tables_under_non_canonical_moduli(modulus):
     field = Field(5, modulus=parse_poly(modulus))
     assert field.modulus != build_field(5).modulus
     _check_tables_against_generic_powers(field)
+
+
+def _list_tables(field):
+    # exp, log and zech as plain lists, stepping x by residue arithmetic
+    # and reading each code back through encode/decode
+    x = Poly.x() % field.modulus
+    exp = []
+    a = field.one
+    for _ in range(field.order):
+        exp.append(field.encode(a))
+        a = a * x % field.modulus
+    log = [ZECH_ZERO] * 3**field.m
+    for i, code in enumerate(exp):
+        log[code] = i
+    zech = [log[field.encode(field.one + field.decode(code))] for code in exp]
+    return exp, log, zech
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_tables_are_int_arrays_equal_to_a_list_build(m):
+    field = Field(m)
+    for table, reference in zip(field.tables(), _list_tables(field)):
+        assert isinstance(table, array)
+        assert table.typecode == "i"
+        assert table.tolist() == reference
+
+
+# VmHWM of a child running `verify --m 12 --e 734` was 26.6 MiB with int
+# arrays and 68 MiB with lists (2-core host, Python 3.11); README states
+# the budget
+M12_VERIFY_RSS_BUDGET_MIB = 40
+
+_REPORT_OWN_PEAK = """
+import sys
+from cyc3.cli import main
+code = main(["verify", "--m", "12", "--e", "734", "--format", "json"])
+with open("/proc/self/status") as fh:
+    peak_kib = next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM:"))
+print(code, peak_kib)
+"""
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="needs /proc/self/status"
+)
+def test_verify_at_m12_stays_within_its_memory_budget():
+    # the child reads its own high-water mark: a parent's ru_maxrss for
+    # a spawned child can report the parent's mark instead
+    src = str(Path(cyc3.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPORT_OWN_PEAK],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report, last = proc.stdout.rstrip("\n").rsplit("\n", 1)
+    code, peak_kib = map(int, last.split())
+    assert code == 0
+    assert json.loads(report)["parameters"] == {"n": 531440, "k": 531416, "d": 4}
+    assert peak_kib / 1024 <= M12_VERIFY_RSS_BUDGET_MIB
 
 
 def test_zech_table_identity():
