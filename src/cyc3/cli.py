@@ -393,19 +393,20 @@ def _cmd_search(args):
     lo, hi = args.e_range if args.e_range else (2, n - 1)
     if not 1 <= lo <= hi <= n - 1:
         raise ValueError(f"e-range must lie within [1, {n - 1}]")
-    c1_members = set(coset(1, 3, args.m).members)
-    seen: set[int] = set()
+    # one coset call per coset met: its members are marked, and an e
+    # already marked is skipped.  No even e is conjugate to 1: n is even,
+    # so e's coset holds only even numbers and that of 1 only odd ones
+    met = bytearray(n)
     optimal = []
     evaluated = 0
     for e in range(lo + (lo % 2), hi + 1, 2):
-        leader = coset(e, 3, args.m).leader
-        if leader in seen:
+        if met[e]:
             continue
-        seen.add(leader)
-        if leader in c1_members:
-            continue
+        cos = coset(e, 3, args.m)
+        for j in cos.members:
+            met[j] = 1
         evaluated += 1
-        report = verify_optimal(field, leader)
+        report = verify_optimal(field, cos.leader)
         if report.verdict == "optimal":
             optimal.append(report)
     optimal.sort(key=lambda r: r.e)

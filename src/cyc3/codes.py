@@ -120,7 +120,7 @@ def min_weight_leq3_search(field: Field, e: int) -> WeightWitness:
     n = field.order
     if not 1 <= e <= n - 1:
         raise ValueError(f"e must be in [1, {n - 1}], got {e}")
-    _, _, zech = field.tables()
+    _, zech = field.tables()
     half = n // 2
     emod = e % n
 

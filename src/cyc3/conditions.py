@@ -127,7 +127,7 @@ def _solutions_table(
     """Solutions of (x+1)^e - x^e - 1 = 0 and of (x+1)^e + x^e + 1 = 0 via
     Zech logarithms, each in code order, from one walk over the orbit
     leaders of <3, -1>; every hit stands for its whole orbit."""
-    exp, _, zech = field.tables()
+    exp, zech = field.tables()
     n = field.order
     half = n // 2
     emod = e % n
@@ -160,7 +160,7 @@ def _solutions_table(
 
 def _solutions_generic(field: Field, e: int, sign: int) -> list[Poly]:
     """Same solution set by square-and-multiply on every element.  It reads
-    no exp/log/Zech table, so tests use it as an independent oracle for the
+    no exp or Zech table, so tests use it as an independent oracle for the
     table scan; it is far too slow to decide verdicts."""
     one, modulus = field.one, field.modulus
     sols = []

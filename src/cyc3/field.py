@@ -1,4 +1,4 @@
-"""GF(3^m) construction, element codes and log/Zech tables.
+"""GF(3^m) construction, element codes and exponent/Zech tables.
 
 An element is a reduced residue: a `Poly` of degree below m modulo a monic
 irreducible modulus of degree m, with the ring operations of `gf3poly`
@@ -10,8 +10,8 @@ primitive modulo it too; other moduli are refused.  Every verified
 statement is representation independent, so reports always record the
 modulus in use.
 
-For m up to LOG_TABLE_MAX_DEGREE the field can build exponent, discrete-log,
-and Zech-logarithm tables; tables() is the one place that decides this, and
+For m up to LOG_TABLE_MAX_DEGREE the field can build two tables, exponent
+and Zech logarithm; tables() is the one place that decides this, and
 every scan that needs them is refused through it.  The Zech table turns
 addition of two generator powers into integer index arithmetic:
 alpha^u + alpha^v = alpha^(u + zech[(v-u) mod n]), with a -1 sentinel where
@@ -26,10 +26,13 @@ c(m-1) read as a base-3 numeral with the constant term as the most
 significant digit (encode/decode convert, and elements() runs in code
 order).  Multiplying by x then shifts the code one digit down and adds a
 multiple of the modulus tail digit by digit through two lookup tables, and
-adding 1 changes only the top digit, which makes the Zech table a single
-gather from the flat log table.  The same digits, comma-joined, are the
-text form of an element (format_element).  Both encode and format_element
-read the element's `coeffs`, padded with zeros to m; decode writes its bit
+adding or subtracting 1 changes only the top digit.  So the loop that steps
+through the powers alpha^i also writes i at the code of alpha^i - 1, which
+yields the logarithm of 1 + b at every code b but that of -1, and the Zech
+table is a single gather from that temporary array at the codes in exp; no
+discrete-log table is kept.  The same digits, comma-joined, are the text
+form of an element (format_element).  Both encode and format_element read
+the element's `coeffs`, padded with zeros to m; decode writes its bit
 planes directly.
 
 Degrees are capped at MAX_DEGREE so every exponent and order fits
@@ -77,7 +80,6 @@ class Field:
         # field summary reads it; exp_of_generator(1) is the element
         self.gen = self._alpha.coeffs + (0,) * (m - len(self._alpha.coeffs))
         self._exp: array | None = None
-        self._log: array | None = None
         self._zech: array | None = None
         self._minpoly_cache: dict[int, Poly] = {}
 
@@ -116,16 +118,14 @@ class Field:
 
     # -- tables --------------------------------------------------------------
 
-    def tables(self) -> tuple[array, array, array]:
-        """(exp, log, zech) for m <= LOG_TABLE_MAX_DEGREE; built lazily.
+    def tables(self) -> tuple[array, array]:
+        """(exp, zech) for m <= LOG_TABLE_MAX_DEGREE; built lazily.
 
-        exp[i] is the code of alpha^i for i in [0, order); log, indexed by
-        code, inverts it and holds ZECH_ZERO at the code 0 of zero; zech[i]
-        is the logarithm of 1 + alpha^i, or ZECH_ZERO where that sum
-        vanishes.
+        exp[i] is the code of alpha^i for i in [0, order); zech[i] is the
+        logarithm of 1 + alpha^i, or ZECH_ZERO where that sum vanishes.
         """
         if self._exp is not None:
-            return self._exp, self._log, self._zech
+            return self._exp, self._zech
         if self.m > LOG_TABLE_MAX_DEGREE:
             raise ValueError(
                 f"Zech tables exist only for m <= {LOG_TABLE_MAX_DEGREE}; "
@@ -143,26 +143,28 @@ class Field:
             for c in range(3)
         ]
         lo = [_digitwise_adder(tail[m - k :], -c) for c in range(3)]
+        # plus_one, indexed by code, holds the logarithm of 1 + that
+        # element: i sits at the code of alpha^i - 1, which lowers the top
+        # digit of a's code.  Below top the index a - top is negative and
+        # wraps to a + 2*top, the top digit 0 wrapping to 2
         exp = array("i", [0]) * n
+        plus_one = array("i", [ZECH_ZERO]) * (3 * top)
         a = top
         for i in range(n):
             exp[i] = a
+            plus_one[a - top] = i
             c = a % 3
             a //= 3
             a = hi[c][a // low] + lo[c][a % low]
         if a != top:
             raise RuntimeError("generator order mismatch")  # pragma: no cover
-        log = array("i", [ZECH_ZERO]) * (3 * top)
-        for i, a in enumerate(exp):
-            log[a] = i
-        if log.count(ZECH_ZERO) != 1:
+        # alpha^i - 1 is every element but -1, so one slot stays unwritten
+        # unless two powers collide
+        if plus_one.count(ZECH_ZERO) != 1:
             raise RuntimeError("generator powers collide")  # pragma: no cover
-        # 1 + a raises the top digit of a's code, wrapping 2 to 0, so
-        # plus_one[a] = log[a + top] below 2*top and log[a - 2*top] above
-        plus_one = log[top:] + log[:top]
         zech = array("i", map(plus_one.__getitem__, exp))
-        self._exp, self._log, self._zech = exp, log, zech
-        return exp, log, zech
+        self._exp, self._zech = exp, zech
+        return exp, zech
 
     # -- text form -----------------------------------------------------------
 

@@ -9,6 +9,9 @@ import time
 import pytest
 
 from cyc3.cli import main
+from cyc3.conditions import verify_optimal
+from cyc3.cosets import coset, cosets_partition
+from cyc3.field import build_field
 from cyc3.gf3poly import Poly, is_irreducible, parse_poly
 
 
@@ -277,6 +280,36 @@ def test_search_range(capsys):
     assert d["eRange"] == [10, 20]
     # 18 falls in range and its class leader is 2, so both classes appear
     assert [r["e"] for r in d["optimal"]] == [2, 14]
+
+
+@pytest.mark.parametrize(
+    "m,lo,hi",
+    [
+        (4, 2, 79), (4, 10, 20), (4, 31, 47), (4, 31, 31),
+        (5, 2, 241), (5, 101, 131), (5, 200, 241),
+        (6, 2, 727), (6, 300, 340), (6, 699, 727),
+    ],
+)
+def test_search_evaluates_each_coset_meeting_the_range_once(capsys, m, lo, hi):
+    # the oracle: every coset that holds an even e in [lo, hi], even when
+    # its leader lies below lo, less the coset of 1; search evaluates each
+    # at its leader and lists the optimal ones in ascending order
+    code, out, _ = run_cli(
+        capsys, "search", "--m", str(m), "--e-range", f"{lo}..{hi}",
+        "--format", "json",
+    )
+    d = json.loads(out)
+    assert code == 0
+    c1 = coset(1, 3, m)
+    leaders = [
+        c.leader
+        for c in cosets_partition(3, m)
+        if c != c1 and any(lo <= e <= hi and e % 2 == 0 for e in c.members)
+    ]
+    assert d["evaluatedCosetLeaders"] == len(leaders)
+    field = build_field(m)
+    optimal = [e for e in leaders if verify_optimal(field, e).verdict == "optimal"]
+    assert [r["e"] for r in d["optimal"]] == optimal
 
 
 def test_search_bad_range(capsys):

@@ -57,6 +57,19 @@ f4_no_tables = Field(4)  # exp_of_generator falls back to powmod here
 exponents = st.integers(min_value=0, max_value=200)
 
 
+def _log_table(field):
+    # the discrete logarithm indexed by code, ZECH_ZERO at the code 0 of
+    # zero: the inverse of exp, built here because the field keeps none
+    exp, _ = field.tables()
+    log = [ZECH_ZERO] * 3**field.m
+    for i, code in enumerate(exp):
+        log[code] = i
+    return log
+
+
+log4 = _log_table(f4)
+
+
 @pytest.mark.parametrize("m", sorted(CANONICAL_MODULI))
 def test_canonical_modulus_frozen(m):
     field = build_field(m)
@@ -189,8 +202,7 @@ def test_additive_inverse(a):
 @given(nonzero4)
 def test_multiplicative_inverse(a):
     # alpha^-i is the inverse of alpha^i; residues multiply back to one
-    _, log, _ = f4.tables()
-    assert mul4(a, f4.exp_of_generator(-log[f4.encode(a)])) == f4.one
+    assert mul4(a, f4.exp_of_generator(-log4[f4.encode(a)])) == f4.one
 
 
 @given(exponents)
@@ -207,8 +219,7 @@ def test_frobenius_is_cubing(a):
     # cubing is i -> 3i in log space, and a.cube() is a^3
     assert a.cube() % f4.modulus == powmod(a, 3, f4.modulus)
     if a:
-        _, log, _ = f4.tables()
-        i = log[f4.encode(a)]
+        i = log4[f4.encode(a)]
         assert f4.exp_of_generator(3 * i) == a.cube() % f4.modulus
 
 
@@ -270,30 +281,40 @@ def test_decode_and_format_element_boundary_contract_at_m4():
 
 
 def test_log_exp_round_trip():
-    exp, log, _ = f4.tables()
-    assert len(exp) == f4.order
-    assert len(log) == 3**4
-    assert log[f4.encode(f4.zero)] == ZECH_ZERO
-    for i in range(f4.order):
-        assert log[exp[i]] == i
-        assert f4.exp_of_generator(i) == f4.decode(exp[i])
-    assert log[f4.encode(f4.one)] == 0
-    assert log[f4.encode(Poly.x())] == 1
+    # exp is a bijection onto the nonzero codes, so every nonzero element
+    # has exactly one logarithm and the test-side inverse undoes exp
+    for m in range(1, 9):
+        field = build_field(m)
+        exp, _ = field.tables()
+        assert len(exp) == field.order
+        assert sorted(exp) == list(range(1, 3**m)), m
+        log = _log_table(field)
+        assert log[field.encode(field.zero)] == ZECH_ZERO
+        for i in range(field.order):
+            assert log[exp[i]] == i
+            assert field.exp_of_generator(i) == field.decode(exp[i])
+        assert log[field.encode(field.one)] == 0
+        assert log[field.encode(Poly.x() % field.modulus)] == 1 % field.order
 
 
 def test_log_of_zero():
-    # zero has no discrete logarithm: its code holds the sentinel
-    _, log, _ = f4.tables()
+    # zero has no discrete logarithm: 1 + alpha^i vanishes only at
+    # alpha^i = -1, i = n/2, and that one Zech entry holds the sentinel
     assert f4.encode(f4.zero) == 0
-    assert log[0] == ZECH_ZERO
-    assert log.count(ZECH_ZERO) == 1
+    for m in range(1, 9):
+        field = build_field(m)
+        _, zech = field.tables()
+        half = field.order // 2
+        assert field.exp_of_generator(half) == -field.one
+        assert zech[half] == ZECH_ZERO
+        assert zech.count(ZECH_ZERO) == 1, m
 
 
 def _check_tables_against_generic_powers(field):
     # every entry of exp and zech from plain polynomial arithmetic: the
     # powers come from square-and-multiply, the logs from their positions
     alpha = Field(field.m, field.modulus).exp_of_generator(1)  # no tables
-    exp, log, zech = field.tables()
+    exp, zech = field.tables()
     n = field.order
     powers = [powmod(alpha, i, field.modulus) for i in range(n)]
     assert [field.decode(a) for a in exp] == powers
@@ -302,7 +323,6 @@ def _check_tables_against_generic_powers(field):
     for i in range(n):
         s = field.one + powers[i]
         assert zech[i] == (ZECH_ZERO if s == field.zero else position[s]), i
-        assert log[field.encode(powers[i])] == i
 
 
 @pytest.mark.parametrize("m", range(1, 8))
@@ -321,8 +341,8 @@ def test_tables_under_non_canonical_moduli(modulus):
 
 
 def _list_tables(field):
-    # exp, log and zech as plain lists, stepping x by residue arithmetic
-    # and reading each code back through encode/decode
+    # exp and zech as plain lists, stepping x by residue arithmetic and
+    # reading each code back through encode/decode; log is only a step
     x = Poly.x() % field.modulus
     exp = []
     a = field.one
@@ -333,21 +353,23 @@ def _list_tables(field):
     for i, code in enumerate(exp):
         log[code] = i
     zech = [log[field.encode(field.one + field.decode(code))] for code in exp]
-    return exp, log, zech
+    return exp, zech
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_tables_are_int_arrays_equal_to_a_list_build(m):
     field = Field(m)
-    for table, reference in zip(field.tables(), _list_tables(field)):
+    tables, references = field.tables(), _list_tables(field)
+    assert len(tables) == len(references) == 2
+    for table, reference in zip(tables, references):
         assert isinstance(table, array)
         assert table.typecode == "i"
         assert table.tolist() == reference
 
 
-# VmHWM of a child running `verify --m 12 --e 734` was 26.6 MiB with int
-# arrays and 68 MiB with lists (2-core host, Python 3.11); README states
-# the budget
+# VmHWM of a child running `verify --m 12 --e 734` was 21.9 MiB with the
+# exp and Zech int arrays, 23.8 MiB with a discrete-log array beside them
+# and 68 MiB with lists (2-core host, Python 3.11); README states the budget
 M12_VERIFY_RSS_BUDGET_MIB = 40
 
 _REPORT_OWN_PEAK = """
@@ -384,19 +406,19 @@ def test_verify_at_m12_stays_within_its_memory_budget():
 
 def test_zech_table_identity():
     # zech[i] = log(1 + gen^i) wherever 1 + gen^i is nonzero
-    exp, log, zech = f4.tables()
+    exp, zech = f4.tables()
     half = f4.order // 2
     assert zech[half] == ZECH_ZERO
     for i in range(f4.order):
         if i == half:
             continue
         s = f4.one + f4.decode(exp[i])
-        assert zech[i] == log[f4.encode(s)]
+        assert zech[i] == log4[f4.encode(s)]
 
 
 def test_zech_addition_formula():
     # gen^u + gen^v = gen^(u + zech[(v-u) mod n])
-    exp, _, zech = f4.tables()
+    exp, zech = f4.tables()
     n = f4.order
     for u, v in [(3, 10), (0, 5), (50, 12), (79, 1), (7, 47)]:
         d = (v - u) % n
@@ -425,6 +447,5 @@ def test_minus_one_is_half_order_power():
 @settings(max_examples=25)
 @given(nonzero4, nonzero4)
 def test_log_turns_mul_into_add(a, b):
-    _, log, _ = f4.tables()
     n = f4.order
-    assert log[f4.encode(mul4(a, b))] == (log[f4.encode(a)] + log[f4.encode(b)]) % n
+    assert log4[f4.encode(mul4(a, b))] == (log4[f4.encode(a)] + log4[f4.encode(b)]) % n
