@@ -8,8 +8,13 @@ Comput. Math. 5, 2002); subtraction swaps the other operand's planes, since
 that negates it.  Multiplication adds one shifted copy of the denser operand
 per nonzero term of the sparser one, and division cancels the top term found
 by bit_length(), so zero coefficients cost nothing.  Cubing is the Frobenius
-map, a(x)^3 = a(x^3), which spreads each plane's bits three apart; iterated
-Frobenius powers reduce once per cubing instead of multiplying.
+map, a(x)^3 = a(x^3), which spreads each plane's bits three apart.  Modulo
+a fixed f the map is linear, so iterated Frobenius powers first build the
+rows x^(3i) mod f, i < deg f, once, and then cube a residue by adding the
+row of each nonzero coefficient, with no reduction.  The gcd runs Euclid on
+the four plane ints in one loop, dividing by the monic form of each
+divisor, whose planes are the divisor's swapped when its leading
+coefficient is 2.
 
 Callers see `coeffs`, the ascending-degree tuple of coefficients in
 {0, 1, 2} (index i holds the coefficient of x^i), computed from the planes
@@ -28,8 +33,9 @@ Beyond ring arithmetic the module provides division with remainder, monic
 gcd, modular exponentiation, Frobenius powers by iterated cubing, a
 deterministic irreducibility test, and complete factorization.  Factoring
 runs squarefree decomposition, then distinct-degree splitting, then
-equal-degree splitting; the equal-degree stage draws from a generator seeded
-with 0, so output is reproducible bit for bit.
+equal-degree splitting; the equal-degree stage draws each random element as
+two planes from a generator seeded with 0, so output is reproducible bit
+for bit.
 """
 
 from __future__ import annotations
@@ -40,8 +46,9 @@ from dataclasses import dataclass
 
 
 # the highest degree that parse_poly accepts, so that factor stays within
-# its 20 s budget: at this degree a dense random polynomial took 10-14 s and
-# x^D - 1 under a second on a 2-core host, at 3500 up to 19 s
+# its 20 s budget: at this degree a dense random polynomial took 4.1-5.7 s
+# (three seeds, mostly distinct-degree gcds) and x^D - 1 0.16 s on a 2-core
+# host with Python 3.11
 MAX_POLY_DEGREE = 3000
 
 
@@ -311,11 +318,14 @@ def _from_bits(positions: list[int]) -> int:
     return v
 
 
+# the characters of bin(v) to byte values that are true for a set bit
+_BIT_BYTES = bytes.maketrans(b"0b1", b"\0\0\1")
+
+
 def _bits(v: int) -> list[int]:
-    """Positions of the set bits of v."""
-    s = bin(v)
-    top = len(s) - 1
-    return [top - i for i, ch in enumerate(s) if ch == "1"]
+    """Positions of the set bits of v, highest first."""
+    s = bin(v).encode().translate(_BIT_BYTES)  # one byte 0 or 1 per digit
+    return list(itertools.compress(range(len(s) - 1, -1, -1), s))
 
 
 def _weight(p: Poly) -> int:
@@ -449,9 +459,33 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor."""
     if a.is_zero and b.is_zero:
         raise ValueError("gcd of two zero polynomials is undefined")
-    while b:
-        a, b = b, a % b
-    return a.monic()[1]
+    # Euclid on the planes: each step reduces a by the monic form of b,
+    # whose planes are b's swapped when lc(b) = 2, and keeps that form
+    a1, a2, b1, b2 = a._p1, a._p2, b._p1, b._p2
+    while b1 or b2:
+        n1, n2 = b1.bit_length(), b2.bit_length()
+        if n1 > n2:
+            g1, g2, size = b1, b2, n1
+        else:
+            g1, g2, size = b2, b1, n2
+        while True:  # _reduce, inlined
+            n1, n2 = a1.bit_length(), a2.bit_length()
+            if n1 > n2:
+                s = n1 - size
+                if s < 0:
+                    break
+                x1, x2 = g2 << s, g1 << s
+            else:
+                s = n2 - size
+                if s < 0:
+                    break
+                x1, x2 = g1 << s, g2 << s
+            t = (a1 | x2) ^ (a2 | x1)
+            a1, a2 = (a2 | x2) ^ t, (a1 | x1) ^ t
+        a1, a2, b1, b2 = g1, g2, a1, a2
+    if a2.bit_length() > a1.bit_length():
+        a1, a2 = a2, a1
+    return _poly(a1, a2)
 
 
 def powmod(a: Poly, n: int, mod: Poly) -> Poly:
@@ -479,9 +513,53 @@ def frobenius_power(a: Poly, d: int, modulus: Poly) -> Poly:
     r = a % modulus
     if modulus.degree < 1:
         raise ValueError("modulus must have degree >= 1")
+    if not d:
+        return r
+    rows = _frobenius_rows(modulus.monic()[1])
+    r1, r2 = r._p1, r._p2
     for _ in range(d):
-        r = r.cube() % modulus
-    return r
+        r1, r2 = _cube_mod(r1, r2, rows)
+    return _poly(r1, r2)
+
+
+def _frobenius_rows(f: Poly) -> list[tuple[int, int]]:
+    """The planes of x^(3i) mod f for i < deg f, f monic of degree >= 1.
+    A residue's cube is the sum of the rows of its nonzero coefficients."""
+    f1, f2 = f._p1, f._p2
+    n = f1.bit_length() - 1
+    k = (n + 2) // 3  # x^(3i) needs no reduction while 3i < n
+    rows = [(1 << 3 * i, 0) for i in range(k)]
+    r1, r2 = 1 << 3 * k, 0
+    # cancelling coefficient c at x^(n+s) adds -c * x^s * f, top term first
+    steps = [(1 << n + s, f2 << s, f1 << s) for s in (2, 1, 0)]
+    for _ in range(k, n):
+        for bit, x1, x2 in steps:
+            if r2 & bit:  # coefficient 2 adds x^s * f: its planes swapped back
+                x1, x2 = x2, x1
+            elif not r1 & bit:
+                continue
+            t = (r1 | x2) ^ (r2 | x1)  # _add, inlined
+            r1, r2 = (r2 | x2) ^ t, (r1 | x1) ^ t
+        rows.append((r1, r2))
+        r1 <<= 3
+        r2 <<= 3
+    return rows
+
+
+def _cube_mod(r1: int, r2: int, rows: list[tuple[int, int]]) -> tuple[int, int]:
+    """The planes of r^3 mod f for a residue r with planes r1, r2, given
+    f's Frobenius rows: a coefficient 2 adds its row negated, planes
+    swapped."""
+    s1 = s2 = 0
+    for i in _bits(r1):
+        x1, x2 = rows[i]
+        t = (s1 | x2) ^ (s2 | x1)  # _add, inlined
+        s1, s2 = (s2 | x2) ^ t, (s1 | x1) ^ t
+    for i in _bits(r2):
+        x2, x1 = rows[i]
+        t = (s1 | x2) ^ (s2 | x1)
+        s1, s2 = (s2 | x2) ^ t, (s1 | x1) ^ t
+    return s1, s2
 
 
 def prime_factors(n: int) -> tuple[int, ...]:
@@ -504,21 +582,23 @@ def prime_factors(n: int) -> tuple[int, ...]:
 def is_irreducible(f: Poly) -> bool:
     """Irreducibility over GF(3).
 
-    Tests x**(3**d) == x mod f for d = deg f and, for each prime p dividing
-    d, that gcd(x**(3**(d/p)) - x, f) is 1.
+    Walks x, x**3, x**9, ... mod f up to x**(3**d), d = deg f: at each
+    d/p, p a prime dividing d, gcd(x**(3**(d/p)) - x, f) must be 1, and at
+    the end x**(3**d) == x mod f.
     """
     if f.degree < 1:
         raise ValueError("irreducibility is defined for degree >= 1")
     f = f.monic()[1]
     d = f.degree
-    if not roots_in_extension(f, d):
-        return False
+    stops = {d // p for p in prime_factors(d)}
+    rows = _frobenius_rows(f)
     x = Poly.x() % f
-    for p in prime_factors(d):
-        g = poly_gcd(frobenius_power(Poly.x(), d // p, f) - x, f)
-        if g.degree != 0:
+    r1, r2 = x._p1, x._p2
+    for k in range(1, d + 1):
+        r1, r2 = _cube_mod(r1, r2, rows)
+        if k in stops and poly_gcd(_poly(r1, r2) - x, f).degree != 0:
             return False
-    return True
+    return r1 == x._p1 and r2 == x._p2
 
 
 def _cube_root(f: Poly) -> Poly:
@@ -565,44 +645,58 @@ def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
     out = []
     v = f
     x = xq = Poly.x()
+    rows = _frobenius_rows(v)
     d = 0
     while v.degree >= 2 * (d + 1):
         d += 1
-        xq = xq.cube() % v
+        xq = _poly(*_cube_mod(xq._p1, xq._p2, rows))
         g = poly_gcd(xq - x, v)
         if g.degree > 0:
             out.append((g, d))
             v = v // g
             xq = xq % v
+            rows = _frobenius_rows(v)
     if v.degree > 0:
         out.append((v, v.degree))
     return out
 
 
 def _half_power(a: Poly, d: int, f: Poly) -> Poly:
-    """a^((3^d-1)/2) mod f for d >= 1.  The exponent's d base-3 digits are
-    all 1, so the power is the product of the Frobenius images a^(3^i),
-    i < d, one cubing each instead of a square-and-multiply."""
-    image = power = a % f
-    for _ in range(d - 1):
-        image = image.cube() % f
-        power = power * image % f
+    """a^((3^d-1)/2) mod f for d >= 1, f monic.  The exponent's d base-3
+    digits are all 1, so the power is the product of the Frobenius images
+    a^(3^i), i < d.  With E_k = (3^k-1)/2, E_2k = E_k + 3^k E_k and
+    E_(k+1) = 3 E_k + 1, so following the binary digits of d takes about
+    d cubings, which cost no reduction, and 2 log2(d) products mod f."""
+    rows = _frobenius_rows(f)
+    a = a % f
+    power, k = a, 1
+    for bit in bin(d)[3:]:
+        p1, p2 = power._p1, power._p2
+        for _ in range(k):
+            p1, p2 = _cube_mod(p1, p2, rows)
+        power = power * _poly(p1, p2) % f
+        k *= 2
+        if bit == "1":
+            power = _poly(*_cube_mod(power._p1, power._p2, rows)) * a % f
+            k += 1
     return power
 
 
 def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:
-    # f monic, all irreducible factors of degree d; Cantor-Zassenhaus split
-    if f.degree == d:
+    # f monic, all irreducible factors of degree d; Cantor-Zassenhaus split.
+    # a is drawn as two planes, a coefficient 1 where p1 has a bit and 2
+    # where only p2 has one; any a splits f correctly, the draw only sets
+    # how often the gcd is proper
+    n = f.degree
+    if n == d:
         return [f]
     while True:
-        a = Poly(rng.randrange(3) for _ in range(f.degree))
+        p1 = rng.getrandbits(n)
+        a = _poly(p1, rng.getrandbits(n) & ~p1)
         if a.degree < 1:
             continue
-        g = poly_gcd(a, f)
-        if 0 < g.degree < f.degree:
-            break
         g = poly_gcd(_half_power(a, d, f) - Poly.one(), f)
-        if 0 < g.degree < f.degree:
+        if 0 < g.degree < n:
             break
     return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
 
@@ -610,9 +704,9 @@ def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:
 def factor(f: Poly) -> Factorization:
     """Complete factorization into monic irreducibles.
 
-    The result is deterministic: the equal-degree split draws from a
-    generator seeded with 0, and factors are sorted by degree, then by
-    ascending coefficient sequence.
+    The result is deterministic: the equal-degree split draws its random
+    elements, two bit planes each, from a generator seeded with 0, and
+    factors are sorted by degree, then by ascending coefficient sequence.
     """
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")

@@ -1,7 +1,9 @@
 """Polynomial arithmetic over GF(3): ring laws, parsing, factoring."""
 
 import pytest
-from hypothesis import given, settings
+import random
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyc3.gf3poly import (
@@ -97,6 +99,23 @@ def ref_derivative(a):
     return ref_trim(i * c for i, c in enumerate(a))[1:]
 
 
+def ref_gcd(a, b):
+    a, b = ref_trim(a), ref_trim(b)
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return ref_trim(c * a[-1] for c in a)  # lc is its own inverse mod 3
+
+
+def ref_is_irreducible(a):
+    # no monic divisor of degree 1 .. deg/2, by trial division
+    d = len(ref_trim(a)) - 1
+    return d >= 1 and all(
+        ref_divmod(a, g.coeffs)[1]
+        for k in range(1, d // 2 + 1)
+        for g in monic_polys(k)
+    )
+
+
 def test_constructor_canonicalizes():
     assert Poly((1, 2, 0, 0)).coeffs == (1, 2)
     assert Poly((4, -1)).coeffs == (1, 2)
@@ -157,6 +176,41 @@ def test_gcd_divides_both(f, g):
     assert d.is_monic
     assert (f % d).is_zero
     assert (g % d).is_zero
+
+
+def with_lead(cs, lead):
+    """cs as drawn (lead None), the zero polynomial (lead 0), or cs with its
+    leading coefficient set to lead (a constant when cs is zero)."""
+    if lead is None:
+        return list(cs)
+    if lead == 0:
+        return []
+    return list(ref_trim(cs))[:-1] + [lead] if any(cs) else [lead]
+
+
+leads = st.sampled_from([None, 0, 1, 2])
+
+
+@given(long_lists, long_lists, sized_lists(digits, 30), leads, leads)
+@example([1, 1], [2, 0, 1], [1], 0, 2)  # zero on the left
+@example([1, 1], [2, 0, 1], [1], 2, 0)  # zero on the right
+@example([1, 1], [2, 0, 1], [1, 1], 2, 2)  # both leading 2, common x + 1
+@settings(max_examples=60)
+def test_gcd_matches_reference_euclid(a, b, tail, lead_a, lead_b):
+    # a monic common factor makes most gcds nontrivial; it keeps each
+    # operand's leading coefficient
+    common = tail + [1]
+    a = ref_mul(with_lead(a, lead_a), common)
+    b = ref_mul(with_lead(b, lead_b), common)
+    if not a and not b:
+        with pytest.raises(ValueError):
+            poly_gcd(Poly(a), Poly(b))
+        return
+    expected = ref_gcd(a, b)
+    got = poly_gcd(Poly(a), Poly(b))
+    assert got.coeffs == expected
+    assert got.is_monic and expected[-1] == 1
+    assert poly_gcd(Poly(b), Poly(a)) == got
 
 
 @given(polys, polys)
@@ -318,10 +372,24 @@ def test_irreducible_count_table_is_right(d):
     assert _mobius_count(d) == IRREDUCIBLE_COUNTS[d]
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 def test_rabin_count_matches_mobius(d):
     got = sum(1 for f in monic_polys(d) if is_irreducible(f))
     assert got == IRREDUCIBLE_COUNTS[d]
+
+
+def test_is_irreducible_agrees_with_factor():
+    # seeded random polynomials of degree up to 40, leading 1 or 2
+    rng = random.Random(20)
+    verdicts = []
+    for _ in range(300):
+        d = rng.randint(1, 40)
+        f = Poly([rng.randrange(3) for _ in range(d)] + [rng.randint(1, 2)])
+        fac = factor(f)
+        single = len(fac.factors) == 1 and fac.factors[0][1] == 1
+        assert is_irreducible(f) == single, f
+        verdicts.append(single)
+    assert 10 < sum(verdicts) < 290  # both verdicts occur
 
 
 def test_monic_polys_enumeration():
@@ -393,6 +461,47 @@ def test_factor_sorted_by_degree_then_coeffs():
     fac = factor(parse_poly("x^8-1"))
     keys = [(p.degree, p.coeffs) for p, _ in fac.factors]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_factor_x_to_the_field_order_minus_one(m):
+    # x^(3^m-1) - 1 is the product of every monic irreducible whose degree
+    # divides m, apart from x, each once
+    fac = factor(X ** (3**m - 1) - ONE)
+    assert fac.unit == 1
+    assert all(k == 1 for _, k in fac.factors)
+    polys_ = [p for p, _ in fac.factors]
+    assert len(set(polys_)) == len(polys_)
+    assert X not in polys_
+    assert all(ref_is_irreducible(p.coeffs) and p.is_monic for p in polys_)
+    by_degree = {}
+    for p in polys_:
+        by_degree[p.degree] = by_degree.get(p.degree, 0) + 1
+    expected = {d: IRREDUCIBLE_COUNTS[d] - (d == 1) for d in range(1, m + 1) if m % d == 0}
+    assert by_degree == expected
+
+
+def test_factor_product_of_known_irreducibles_with_powers():
+    # 24 degree-5 irreducibles, three squared and one cubed, with x + 1 and
+    # x^2 + 1 so that the distinct-degree stage shrinks its modulus twice
+    # before degree 5; degree 148
+    quintics = [p for p in monic_polys(5) if ref_is_irreducible(p.coeffs)]
+    assert len(quintics) == IRREDUCIBLE_COUNTS[5]
+    chosen = random.Random(5).sample(quintics, 24)
+    expected = {p: 1 for p in chosen}
+    for p in chosen[:3]:
+        expected[p] = 2
+    expected[chosen[3]] = 3
+    expected[X + ONE] = 1
+    expected[X ** 2 + ONE] = 1
+    f = ONE
+    for p, k in expected.items():
+        f = f * p**k
+    assert f.degree == 148
+    want = tuple(sorted(expected.items()))
+    assert factor(f).factors == want
+    assert factor(f) == factor(f)
+    assert factor(2 * f) == Factorization(2, want)
 
 
 def test_squarefree_decomposition_cube():
@@ -487,10 +596,12 @@ def test_cube_is_pow_three_and_spreads_coefficients(a):
     sized_lists(digits, 120),
     sized_lists(digits, 60).filter(len),
     st.integers(min_value=0, max_value=3),
+    st.sampled_from([1, 2]),
 )
 @settings(max_examples=40)
-def test_frobenius_power_matches_reference(a, tail, d):
-    mod = tail + [1]
+def test_frobenius_power_matches_reference(a, tail, d, lead):
+    # a leading 2 makes the engine build the rows of the monic form
+    mod = tail + [lead]
     expected = ref_divmod(a, mod)[1]
     for _ in range(d):
         expected = ref_divmod(ref_mul(ref_mul(expected, expected), expected), mod)[1]
@@ -500,11 +611,12 @@ def test_frobenius_power_matches_reference(a, tail, d):
 @given(
     sized_lists(digits, 80),
     sized_lists(digits, 40).filter(len),
-    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=13),
 )
 @settings(max_examples=60)
 def test_half_power_is_the_product_of_frobenius_images(a, tail, d):
-    # the equal-degree split's a^((3^d-1)/2) mod f, against square-and-multiply
+    # the equal-degree split's a^((3^d-1)/2) mod f, against square-and-multiply;
+    # d up to 13 takes every binary digit pattern of up to four digits
     f = Poly(tail + [1])
     assert _half_power(Poly(a), d, f) == powmod(Poly(a), (3**d - 1) // 2, f)
 
