@@ -97,7 +97,7 @@ def _wrap(command: str, body: dict) -> dict:
 
 def _cmd_field_info(args):
     field = build_field(args.m)
-    primes = prime_factors(field.order) if field.order > 1 else ()
+    primes = prime_factors(field.order)
     generator = field.format_element(field.exp_of_generator(1))
     log_tables = field.m <= LOG_TABLE_MAX_DEGREE
     payload = _wrap(
@@ -115,7 +115,7 @@ def _cmd_field_info(args):
         f"GF(3^{field.m}): order of multiplicative group = {field.order}",
         f"modulus: {field.modulus.format()}",
         f"generator: {generator}",
-        f"prime factors of the order: {', '.join(map(str, primes)) or 'none'}",
+        f"prime factors of the order: {', '.join(map(str, primes))}",
         f"log/Zech tables available: {_bool_text(log_tables)}",
     ]
     return 0, payload, text, None
@@ -444,9 +444,12 @@ def _cmd_search(args):
 
 def _parse_m_list(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        ms = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad m-list {text!r}")
+    if not ms:
+        raise argparse.ArgumentTypeError(f"m-list {text!r} names no m")
+    return ms
 
 
 def _parse_e_range(text: str) -> tuple[int, int]:

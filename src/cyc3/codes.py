@@ -58,9 +58,9 @@ def build_code(field: Field, e: int) -> CodeSpec:
     n = field.order
     if not 1 <= e <= n - 1:
         raise ValueError(f"e must be in [1, {n - 1}], got {e}")
-    c1 = coset(1, 3, field.m)
-    if e % n in c1.members:
-        raise ConjugateExponentError(e, c1.members)
+    cos_e = coset(e, 3, field.m)
+    if cos_e.leader == 1:  # e is conjugate to 1: it shares 1's coset
+        raise ConjugateExponentError(e, cos_e.members)
     gen = minimal_polynomial(field, 1) * minimal_polynomial(field, e)
     return CodeSpec(field.m, e, n, gen, n - gen.degree)
 

@@ -227,8 +227,7 @@ def verify_optimal(field: Field, e: int, h: int | None = None) -> ConditionRepor
         raise ValueError(f"e must be in [1, {n - 1}], got {e}")
     c1 = check_c1(e)
     cos_e = coset(e, 3, m)
-    cos_1 = coset(1, 3, m)
-    coset_ok = e % n not in cos_1.members and cos_e.size == m
+    coset_ok = cos_e.leader != 1 and cos_e.size == m
     gcd_value = math.gcd(e, n)
     c2, c3 = _solutions_table(field, e)
     optimal = (

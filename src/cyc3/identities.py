@@ -4,26 +4,31 @@ conditions for the exponents e = 3^h + 5.
 Both equation conditions reduce, for such e, to showing that a field element
 theta satisfying the equation would obey theta^(3^h) = num/den for a fixed
 pair of quartic/quintic polynomials.  Applying the map again and clearing
-denominators turns "theta is a fixed point" (2h = m) into x*G - F = 0 and
-"theta^(3^(2h)) = theta^9" (2h = m + 2) into x^9*G - F = 0, for composed
-polynomials F, G of degree 25 and 24 (difference route) or 16 and 16 (sum
-route).  Each of those four left-hand sides must factor into a specific
-product of small irreducibles; the expected products live here as literal
-fixtures, kept apart from anything the engine computes, so a fixture slip
-shows up as a fixture-vs-engine diff rather than vanishing silently.
+denominators gives x^k*G - F = 0, for composed polynomials F, G of degree
+25 and 24 (difference route) or 16 and 16 (sum route).  The four
+factorization checks are the 2x2 grid {difference, sum} x {x, x^9}, one row
+each of _FACTORIZATIONS: k = 1 when "theta is a fixed point" (2h = m) and
+k = 9 when "theta^(3^(2h)) = theta^9" (2h = m + 2).  Each left-hand side
+must factor into a specific product of small irreducibles; the expected
+products live here as literal fixtures, kept apart from anything the
+engine computes, so a fixture slip shows up as a fixture-vs-engine diff
+rather than vanishing silently.
 
 Every check is an exact ring statement: lhs equals unit times the monic
 fixture product, every fixture factor is irreducible, and the in-house
-factor engine reproduces the fixture multiset on its own.  On top of the
-four factorizations, a registry of five auxiliary steps verifies the inline
-computations of the proofs (direct-substitution collapses, the x^8 - 1
-consequence, and the two Frobenius facts modulo the degree-6 factor).
-run_all executes everything in a fixed order.
+factor engine reproduces the fixture multiset on its own.  A row may also
+list polynomials that must be pairwise coprime, tested once its
+factorization passes.  On top of the four factorizations, a registry of
+five auxiliary steps verifies the inline computations of the proofs
+(direct-substitution collapses, the x^8 - 1 consequence, and the two
+Frobenius facts modulo the degree-6 factor).  run_all executes everything
+in a fixed order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import combinations
 
 from .gf3poly import (
     Factorization,
@@ -65,19 +70,6 @@ def cleared_compose(outer: Poly, num: Poly, den: Poly, degree: int) -> Poly:
         if c:
             out = out + c * num**i * den ** (degree - i)
     return out
-
-
-def difference_composed() -> tuple[Poly, Poly]:
-    """(F, G) with theta^(3^(2h)) = F/G on the difference route; cleared at
-    degree 5, so G picks up one extra denominator factor."""
-    f, g = difference_polys()
-    return cleared_compose(f, f, g, 5), cleared_compose(g, f, g, 5)
-
-
-def sum_composed() -> tuple[Poly, Poly]:
-    """(K, L) with theta^(3^(2h)) = K/L on the sum route."""
-    k, l = sum_polys()
-    return cleared_compose(k, k, l, 4), cleared_compose(l, k, l, 4)
 
 
 # Factorization fixtures: the expected products, one (factor, multiplicity)
@@ -122,6 +114,21 @@ NINTH_POWER_SUM = (
 # the degree-6 factor the ninth-power difference argument works through;
 # its roots are the primitive 14th roots of unity
 SEVENTH_ROOT_FACTOR = "x^6-x^5+x^4-x^3+x^2-x+1"
+
+# One row per factorization check: id, (num, den) pair, clearing degree,
+# power k of x in x^k*G - F, fixture, and polynomials that must be pairwise
+# coprime.  The two quintics the ninth-power difference argument derives
+# must be coprime to each other and to the degree-6 factor, so no root
+# survives the combined equations.
+_FACTORIZATIONS = (
+    ("difference-fixed-point", difference_polys, 5, 1, FIXED_POINT_DIFFERENCE, ()),
+    (
+        "difference-ninth-power", difference_polys, 5, 9, NINTH_POWER_DIFFERENCE,
+        ("x^5-x^2-1", "x^5+x^3-x^2-1", SEVENTH_ROOT_FACTOR),
+    ),
+    ("sum-fixed-point", sum_polys, 4, 1, FIXED_POINT_SUM, ()),
+    ("sum-ninth-power", sum_polys, 4, 9, NINTH_POWER_SUM, ()),
+)
 
 
 @dataclass(frozen=True)
@@ -199,62 +206,6 @@ def _step_check(check_id: str, lhs: Poly, rhs: Poly) -> IdentityCheck:
     )
 
 
-def verify_difference_fixed_point() -> IdentityCheck:
-    """x*G - F on the difference route factors as the six-part product."""
-    F, G = difference_composed()
-    return factorization_check(
-        "difference-fixed-point", Poly.x() * G - F, FIXED_POINT_DIFFERENCE
-    )
-
-
-def verify_difference_ninth_power() -> IdentityCheck:
-    """x^9*G - F factors as the eight-part product; additionally pins the
-    coprimality facts the contradiction argument needs."""
-    F, G = difference_composed()
-    check = factorization_check(
-        "difference-ninth-power", Poly.x() ** 9 * G - F, NINTH_POWER_DIFFERENCE
-    )
-    if not check.passed:
-        return check
-    # the two quintics the proof derives must be coprime to each other and
-    # to the degree-6 factor, so no root survives the combined equations
-    p6 = parse_poly(SEVENTH_ROOT_FACTOR)
-    q1 = parse_poly("x^5-x^2-1")
-    q2 = parse_poly("x^5+x^3-x^2-1")
-    problems = []
-    if poly_gcd(q1, q2).degree != 0:
-        problems.append("derived quintics share a root")
-    if poly_gcd(q1, p6).degree != 0 or poly_gcd(q2, p6).degree != 0:
-        problems.append("derived quintic shares a root with degree-6 factor")
-    if problems:
-        return IdentityCheck(
-            check_id=check.check_id,
-            status="fail",
-            lhs=check.lhs,
-            rhs=check.rhs,
-            unit=check.unit,
-            detail="; ".join(problems),
-        )
-    return check
-
-
-def verify_sum_fixed_point() -> IdentityCheck:
-    """x*L - K on the sum route factors as (x-1)^5 times three squared
-    quadratics."""
-    K, L = sum_composed()
-    return factorization_check(
-        "sum-fixed-point", Poly.x() * L - K, FIXED_POINT_SUM
-    )
-
-
-def verify_sum_ninth_power() -> IdentityCheck:
-    """x^9*L - K factors into the ten listed small irreducibles."""
-    K, L = sum_composed()
-    return factorization_check(
-        "sum-ninth-power", Poly.x() ** 9 * L - K, NINTH_POWER_SUM
-    )
-
-
 def verify_steps() -> list[IdentityCheck]:
     """The five inline proof computations, in registry order."""
     f, g = difference_polys()
@@ -285,10 +236,19 @@ def verify_steps() -> list[IdentityCheck]:
 
 def run_all() -> list[IdentityCheck]:
     """All nine checks: the four factorizations, then the step registry."""
-    return [
-        verify_difference_fixed_point(),
-        verify_difference_ninth_power(),
-        verify_sum_fixed_point(),
-        verify_sum_ninth_power(),
-        *verify_steps(),
-    ]
+    checks = []
+    for check_id, pair, degree, k, fixture, coprime in _FACTORIZATIONS:
+        num, den = pair()
+        lhs = Poly.x() ** k * cleared_compose(den, num, den, degree)
+        lhs -= cleared_compose(num, num, den, degree)
+        check = factorization_check(check_id, lhs, fixture)
+        if check.passed:
+            problems = [
+                f"{a} and {b} share a root"
+                for a, b in combinations(coprime, 2)
+                if poly_gcd(parse_poly(a), parse_poly(b)).degree != 0
+            ]
+            if problems:
+                check = replace(check, status="fail", detail="; ".join(problems))
+        checks.append(check)
+    return checks + verify_steps()

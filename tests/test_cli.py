@@ -130,6 +130,17 @@ def test_scans_above_the_table_cap_are_refused(capsys, argv):
     assert "m <= 12" in err
 
 
+@pytest.mark.parametrize("m_list", ["", ",", " , "])
+def test_family_refuses_an_empty_m_list(capsys, m_list):
+    """An empty sweep certifies nothing, so it is a usage error, not a pass."""
+    with pytest.raises(SystemExit) as exc:
+        main(["family", "--name", "open-problem", "--m-list", m_list])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "names no m" in out.err
+
+
 def test_factor_parse_error_exit_two(capsys):
     code, _, err = run_cli(capsys, "factor", "--poly", "x^+1")
     assert code == 2

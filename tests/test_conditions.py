@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyc3.codes import build_code, is_codeword, min_weight_leq3_search
+from cyc3.codes import (
+    ConjugateExponentError,
+    build_code,
+    is_codeword,
+    min_weight_leq3_search,
+)
 from cyc3.conditions import (
     FAMILY_C_READINGS,
     _orbit_leaders,
@@ -88,6 +93,31 @@ def test_conjugate_e_fails_the_coset_condition():
     r = verify_optimal(f4, 9)
     assert r.verdict == "not_optimal"
     assert not r.coset_ok
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_every_conjugate_of_one_is_refused(m):
+    """e is conjugate to 1 exactly when its own coset is led by 1: every
+    member of 1's coset fails the coset condition, and build_code refuses
+    it naming that coset."""
+    field = build_field(m)
+    members = coset(1, 3, m).members
+    for e in members:
+        assert not verify_optimal(field, e).coset_ok
+        with pytest.raises(ConjugateExponentError) as exc:
+            build_code(field, e)
+        assert exc.value.coset == members
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_coset_condition_matches_membership_in_the_coset_of_one(m):
+    """Reference: the formula that tested membership in coset(1, 3, m)."""
+    field = build_field(m)
+    n = field.order
+    cos_1 = coset(1, 3, m)
+    for e in range(1, n):
+        expected = e % n not in cos_1.members and coset(e, 3, m).size == m
+        assert verify_optimal(field, e).coset_ok == expected, e
 
 
 def test_small_coset_e_fails_the_coset_condition():

@@ -3,6 +3,7 @@ and the substitution steps that link them."""
 
 import pytest
 
+from cyc3 import identities
 from cyc3.gf3poly import Poly, parse_poly, poly_gcd, roots_in_extension
 from cyc3.identities import (
     FIXED_POINT_DIFFERENCE,
@@ -13,11 +14,7 @@ from cyc3.identities import (
     factorization_check,
     run_all,
     sum_polys,
-    verify_difference_fixed_point,
-    verify_difference_ninth_power,
     verify_steps,
-    verify_sum_fixed_point,
-    verify_sum_ninth_power,
 )
 
 X = Poly.x()
@@ -34,6 +31,12 @@ EXPECTED_IDS = [
     "step-seventh-power-minus-one",
     "step-frobenius-fourth-power",
 ]
+
+
+def _check(check_id):
+    """One factorization check, picked from run_all() by its id."""
+    (check,) = [c for c in run_all() if c.check_id == check_id]
+    return check
 
 
 def test_run_all_everything_passes():
@@ -82,7 +85,7 @@ def test_cleared_compose_homogenization_degree():
 
 
 def test_difference_fixed_point_frozen_factors():
-    check = verify_difference_fixed_point()
+    check = _check("difference-fixed-point")
     assert check.passed
     assert check.unit == 2
     assert check.lhs.degree == 23
@@ -91,14 +94,14 @@ def test_difference_fixed_point_frozen_factors():
 
 
 def test_difference_ninth_power_frozen_factors():
-    check = verify_difference_ninth_power()
+    check = _check("difference-ninth-power")
     assert check.passed
     assert check.unit == 1
     assert check.lhs.degree == 33
 
 
 def test_sum_fixed_point_has_quintuple_root_at_one():
-    check = verify_sum_fixed_point()
+    check = _check("sum-fixed-point")
     assert check.passed
     assert check.unit == 2
     assert check.lhs.degree == 17
@@ -117,11 +120,28 @@ def _fixture_pairs(check):
 
 
 def test_sum_ninth_power_frozen_factors():
-    check = verify_sum_ninth_power()
+    check = _check("sum-ninth-power")
     assert check.passed
     assert check.unit == 2
     assert check.lhs.degree == 25
     assert len(NINTH_POWER_SUM) == 10
+
+
+def test_coprimality_failure_fails_only_its_check(monkeypatch):
+    """A row whose coprime polynomials share a root must come back failed
+    with a shared-root detail, while every other check still passes."""
+    rows = list(identities._FACTORIZATIONS)
+    check_id, pair, degree, k, fixture, _ = rows[2]
+    rows[2] = (check_id, pair, degree, k, fixture, ("x^2+1", "x^4-1", "x^3-x+1"))
+    monkeypatch.setattr(identities, "_FACTORIZATIONS", tuple(rows))
+    checks = run_all()
+    assert [c.check_id for c in checks] == EXPECTED_IDS
+    failed = [c for c in checks if not c.passed]
+    assert [c.check_id for c in failed] == ["sum-fixed-point"]
+    assert failed[0].detail == "x^2+1 and x^4-1 share a root"
+    # the factorization itself still holds: only the status and detail move
+    assert failed[0].unit == 2
+    assert failed[0].lhs.degree == 17
 
 
 def test_quintic_pair_is_coprime():
