@@ -35,12 +35,6 @@ from .field import LOG_TABLE_MAX_DEGREE, build_field
 from .gf3poly import PolyParseError, factor, parse_poly, prime_factors
 from .identities import run_all
 
-# the keys of the verify JSON report, with `parameters` spread into n, k, d
-VERIFY_CSV_COLUMNS = [
-    "m", "e", "h", "c1", "cosetOk", "gcd", "c2Solutions", "c3Solutions",
-    "verdict", "n", "k", "d", "modulus",
-]
-
 
 def _bool_text(b: bool) -> str:
     return "true" if b else "false"
@@ -92,7 +86,9 @@ def _wrap(command: str, body: dict) -> dict:
 
 
 # each handler returns (exit_code, json_payload, text_lines, csv_rows)
-# csv_rows is None unless the subcommand supports csv-row output
+# csv_rows is None unless the subcommand supports csv-row output, and never
+# empty otherwise (--m-list refuses empty input); the csv columns are the
+# keys of its first row, which every row shares
 
 
 def _cmd_field_info(args):
@@ -195,9 +191,8 @@ def _cmd_verify(args):
     report = verify_optimal(field, args.e)
     payload = report.to_json_dict(field)  # bare schema, no wrapper
     text = _report_text_lines(report, field)
-    rows = [_csv_row(payload)]
     code = 0 if report.verdict == "optimal" else 1
-    return code, payload, text, (VERIFY_CSV_COLUMNS, rows)
+    return code, payload, text, [_csv_row(payload)]
 
 
 def _family_reading_report(rows) -> tuple[list[dict], list[str]]:
@@ -275,8 +270,7 @@ def _cmd_family(args):
         code = 0 if n_opt == len(rows) else 1
     text.append(f"optimal: {n_opt} of {len(rows)}")
     payload = _wrap("family", body)
-    columns = ["family", "reading"] + VERIFY_CSV_COLUMNS
-    return code, payload, text, (columns, csv_rows)
+    return code, payload, text, csv_rows
 
 
 def _cmd_mindist(args):
@@ -390,7 +384,8 @@ def _cmd_identities(args):
 def _cmd_search(args):
     field = build_field(args.m)
     n = field.order
-    lo, hi = args.e_range if args.e_range else (2, n - 1)
+    # n - 1 = 1 at m = 1, so the default range is then 1..1, with no even e
+    lo, hi = args.e_range if args.e_range else (min(2, n - 1), n - 1)
     if not 1 <= lo <= hi <= n - 1:
         raise ValueError(f"e-range must lie within [1, {n - 1}]")
     # one coset call per coset met: its members are marked, and an e
@@ -547,20 +542,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, payload, text_lines, csv_data, elapsed: float) -> None:
-    fmt = getattr(args, "format", "text")
-    if fmt == "json":
+def _emit(args, payload, text_lines, rows, elapsed: float) -> None:
+    if args.format == "json":
         out = json.dumps(payload, indent=2) + "\n"
-    elif fmt == "csv-row":
-        columns, rows = csv_data
+    elif args.format == "csv-row":
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
+        writer = csv.DictWriter(buf, fieldnames=rows[0], lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
         out = buf.getvalue()
     else:
         out = "\n".join(text_lines + [f"elapsed: {elapsed:.2f}s"]) + "\n"
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(out)
     else:
@@ -572,12 +565,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
-        code, payload, text_lines, csv_data = args.func(args)
+        code, payload, text_lines, rows = args.func(args)
     except PolyParseError as exc:
         print(f"error: bad polynomial: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:  # ConjugateExponentError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(args, payload, text_lines, csv_data, time.perf_counter() - t0)
+    _emit(args, payload, text_lines, rows, time.perf_counter() - t0)
     return code

@@ -3,9 +3,11 @@ brute-force oracle for words of weight below 4, and the sphere-packing bound.
 
 The code for exponent e has length n = 3^m - 1 and generator polynomial
 m_1(x) * m_e(x), the product of the minimal polynomials of the generator and
-its e-th power.  A word (c_0, ..., c_{n-1}) belongs to the code iff both
-syndrome sums vanish: sum c_j alpha^j = 0 and sum c_j alpha^(ej) = 0; the
-pairs (alpha^j, alpha^(ej)) are the parity-check columns.
+its e-th power.  The generator alpha is the class of x, so m_1 is the field's
+modulus, and e is conjugate to 1 exactly when m_e is the modulus too.  A
+word (c_0, ..., c_{n-1}) belongs to the code iff both syndrome sums vanish:
+sum c_j alpha^j = 0 and sum c_j alpha^(ej) = 0; the pairs (alpha^j,
+alpha^(ej)) are the parity-check columns.
 
 The weight oracle is deliberately independent of the optimality conditions
 checked elsewhere: it decides "is there a codeword of weight 1, 2, or 3" by
@@ -58,10 +60,10 @@ def build_code(field: Field, e: int) -> CodeSpec:
     n = field.order
     if not 1 <= e <= n - 1:
         raise ValueError(f"e must be in [1, {n - 1}], got {e}")
-    cos_e = coset(e, 3, field.m)
-    if cos_e.leader == 1:  # e is conjugate to 1: it shares 1's coset
-        raise ConjugateExponentError(e, cos_e.members)
-    gen = minimal_polynomial(field, 1) * minimal_polynomial(field, e)
+    m_e = minimal_polynomial(field, e)
+    if m_e == field.modulus:  # alpha^e is a conjugate of alpha
+        raise ConjugateExponentError(e, coset(e, 3, field.m).members)
+    gen = field.modulus * m_e
     return CodeSpec(field.m, e, n, gen, n - gen.degree)
 
 

@@ -114,17 +114,12 @@ def minimal_polynomial(field: Field, i: int) -> Poly:
     """Monic minimal polynomial of generator**i over GF(3).
 
     Computed as the product of (x - conjugate) over the coset of i, with
-    coefficients verified to land in the base field.  Memoized per field by
-    coset leader.
+    coefficients verified to land in the base field.
     """
-    c = coset(i, 3, field.m)
-    cached = field._minpoly_cache.get(c.leader)
-    if cached is not None:
-        return cached
     # product over conjugates, with coefficients in the field
     mod = field.modulus
     poly = [field.one]
-    for j in c.members:
+    for j in coset(i, 3, field.m).members:
         root = field.exp_of_generator(j)
         nxt = [field.zero] + poly  # x * poly
         for d, coeff in enumerate(poly):
@@ -138,6 +133,4 @@ def minimal_polynomial(field: Field, i: int) -> Poly:
                 f"left the base field"
             )
         base_coeffs.append(coeff.lc)
-    result = Poly(base_coeffs)
-    field._minpoly_cache[c.leader] = result
-    return result
+    return Poly(base_coeffs)

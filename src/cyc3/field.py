@@ -81,7 +81,6 @@ class Field:
         self.gen = self._alpha.coeffs + (0,) * (m - len(self._alpha.coeffs))
         self._exp: array | None = None
         self._zech: array | None = None
-        self._minpoly_cache: dict[int, Poly] = {}
 
     # -- elements ------------------------------------------------------------
 

@@ -8,13 +8,12 @@ Comput. Math. 5, 2002); subtraction swaps the other operand's planes, since
 that negates it.  Multiplication adds one shifted copy of the denser operand
 per nonzero term of the sparser one, and division cancels the top term found
 by bit_length(), so zero coefficients cost nothing.  Cubing is the Frobenius
-map, a(x)^3 = a(x^3), which spreads each plane's bits three apart.  Modulo
-a fixed f the map is linear, so iterated Frobenius powers first build the
-rows x^(3i) mod f, i < deg f, once, and then cube a residue by adding the
-row of each nonzero coefficient, with no reduction.  The gcd runs Euclid on
-the four plane ints in one loop, dividing by the monic form of each
-divisor, whose planes are the divisor's swapped when its leading
-coefficient is 2.
+map, a(x)^3 = a(x^3).  Modulo a fixed f the map is linear, so iterated
+Frobenius powers first build the rows x^(3i) mod f, i < deg f, once, and
+then cube a residue by adding the row of each nonzero coefficient, with no
+reduction.  The gcd runs Euclid on the four plane ints in one loop,
+dividing by the monic form of each divisor, whose planes are the divisor's
+swapped when its leading coefficient is 2.
 
 Callers see `coeffs`, the ascending-degree tuple of coefficients in
 {0, 1, 2} (index i holds the coefficient of x^i), computed from the planes
@@ -199,11 +198,6 @@ class Poly:
             n >>= 1
         return result
 
-    def cube(self) -> "Poly":
-        """self**3, which is self(x^3) in characteristic 3: each plane's
-        bits spread three apart."""
-        return _poly(_spread(self._p1), _spread(self._p2))
-
     def __divmod__(self, other: "Poly"):
         if not isinstance(other, Poly):
             return NotImplemented
@@ -336,13 +330,8 @@ def _coeff_at(p: Poly, bit: int) -> int:
     return 1 if p._p1 & bit else 2 if p._p2 & bit else 0
 
 
-def _spread(v: int) -> int:
-    """Bit i of v moved to bit 3i."""
-    return int("00".join(bin(v)[2:]), 2)
-
-
 def _compress(v: int) -> int:
-    """Bit 3i of v moved to bit i; the inverse of _spread."""
+    """Bit 3i of v moved to bit i; the bits between are dropped."""
     s = bin(v)[2:]
     return int(s[len(s) - 1 :: -3][::-1], 2)
 

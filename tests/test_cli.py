@@ -323,6 +323,20 @@ def test_search_evaluates_each_coset_meeting_the_range_once(capsys, m, lo, hi):
     assert [r["e"] for r in d["optimal"]] == optimal
 
 
+def test_search_at_m1_answers_with_the_default_range(capsys):
+    # n - 1 = 1 at m = 1: the default range is 1..1 and holds no even e,
+    # the same answer as the explicit range
+    code, out, err = run_cli(capsys, "search", "--m", "1", "--format", "json")
+    assert (code, err) == (0, "")
+    d = json.loads(out)
+    assert d["eRange"] == [1, 1]
+    assert (d["evaluatedCosetLeaders"], d["optimal"]) == (0, [])
+    explicit = run_cli(
+        capsys, "search", "--m", "1", "--e-range", "1..1", "--format", "json"
+    )
+    assert explicit == (0, out, "")
+
+
 def test_search_bad_range(capsys):
     code, _, err = run_cli(capsys, "search", "--m", "4", "--e-range", "0..200")
     assert code == 2

@@ -14,7 +14,7 @@ from cyc3.codes import (
     sphere_packing_max_d,
     syndrome,
 )
-from cyc3.cosets import coset
+from cyc3.cosets import coset, minimal_polynomial
 from cyc3.field import build_field
 from cyc3.gf3poly import Poly, powmod
 
@@ -42,6 +42,24 @@ def test_conjugate_exponent_rejected():
     assert exc.value.e == 9
     assert set(exc.value.coset) == {1, 3, 9, 27}
     assert "distinct cosets" in str(exc.value)
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_generator_is_m1_times_me_at_every_exponent(m):
+    # the reference is m_1 * m_e built from both cosets; build_code takes
+    # m_1 as the modulus and refuses e exactly on the coset of 1
+    field = build_field(m)
+    m_1 = minimal_polynomial(field, 1)
+    for e in range(1, field.order):
+        cos_e = coset(e, 3, m)
+        if cos_e.leader == 1:
+            with pytest.raises(ConjugateExponentError) as exc:
+                build_code(field, e)
+            assert exc.value.coset == cos_e.members
+            continue
+        spec = build_code(field, e)
+        assert spec.generator == m_1 * minimal_polynomial(field, e)
+        assert spec.k == field.order - spec.generator.degree
 
 
 def test_exponent_range_validation():

@@ -105,8 +105,19 @@ def test_size_law_other_characteristic():
 
 
 def test_minimal_polynomial_of_generator_is_the_modulus():
-    field = build_field(4)
-    assert minimal_polynomial(field, 1) == field.modulus
+    # alpha is the class of x, so m_1 is the modulus at every canonical m
+    for m in range(1, 21):
+        field = build_field(m)
+        assert minimal_polynomial(field, 1) == field.modulus
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_minimal_polynomial_is_the_modulus_only_on_the_coset_of_1(m):
+    # the conjugacy test of build_code against the coset leader
+    field = build_field(m)
+    for e in range(1, field.order):
+        is_modulus = minimal_polynomial(field, e) == field.modulus
+        assert is_modulus == (coset(e, 3, m).leader == 1)
 
 
 def test_minimal_polynomial_of_14():
@@ -140,11 +151,6 @@ def test_minimal_polynomials_tile_the_group_polynomial():
     for c in cosets_partition(3, 3):
         prod = prod * minimal_polynomial(field, c.leader)
     assert prod == Poly.x() ** 26 - Poly.one()
-
-
-def test_minimal_polynomial_memoized():
-    field = build_field(4)
-    assert minimal_polynomial(field, 14) is minimal_polynomial(field, 42)
 
 
 def test_coset_is_hashable_value_object():
