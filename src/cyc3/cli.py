@@ -30,7 +30,7 @@ from .codes import (
     sphere_packing_max_d,
 )
 from .conditions import ConditionReport, verify_family, verify_optimal
-from .cosets import coset, minimal_polynomial
+from .cosets import coset, cosets_meeting, minimal_polynomial
 from .field import LOG_TABLE_MAX_DEGREE, build_field
 from .gf3poly import PolyParseError, factor, parse_poly, prime_factors
 from .identities import run_all
@@ -388,41 +388,25 @@ def _cmd_search(args):
     lo, hi = args.e_range if args.e_range else (min(2, n - 1), n - 1)
     if not 1 <= lo <= hi <= n - 1:
         raise ValueError(f"e-range must lie within [1, {n - 1}]")
-    # one coset call per coset met: its members are marked, and an e
-    # already marked is skipped.  No even e is conjugate to 1: n is even,
-    # so e's coset holds only even numbers and that of 1 only odd ones
-    met = bytearray(n)
+    field.tables()  # refuses an m above the table cap before the walk
+    # no even e is conjugate to 1: n is even, so e's coset holds only even
+    # numbers and that of 1 only odd ones
     optimal = []
     evaluated = 0
-    for e in range(lo + (lo % 2), hi + 1, 2):
-        if met[e]:
-            continue
-        cos = coset(e, 3, args.m)
-        for j in cos.members:
-            met[j] = 1
+    for cos in cosets_meeting(range(lo + lo % 2, hi + 1, 2), 3, args.m):
         evaluated += 1
         report = verify_optimal(field, cos.leader)
         if report.verdict == "optimal":
-            optimal.append(report)
-    optimal.sort(key=lambda r: r.e)
+            body = report.to_json_dict(field)
+            optimal.append({key: body[key] for key in ("e", "h", "parameters")})
+    optimal.sort(key=lambda entry: entry["e"])
     payload = _wrap(
         "search",
         {
             "m": args.m,
             "eRange": [lo, hi],
             "evaluatedCosetLeaders": evaluated,
-            "optimal": [
-                {
-                    "e": r.e,
-                    "h": r.h,
-                    "parameters": {
-                        "n": r.parameters[0],
-                        "k": r.parameters[1],
-                        "d": r.parameters[2],
-                    },
-                }
-                for r in optimal
-            ],
+            "optimal": optimal,
             "modulus": field.modulus.format(),
         },
     )
@@ -430,9 +414,10 @@ def _cmd_search(args):
         f"search over even e in [{lo}, {hi}] at m={args.m} "
         f"({evaluated} coset leaders evaluated):"
     ]
-    for r in optimal:
-        h = f" (e = 3^{r.h}+5)" if r.h is not None else ""
-        text.append(f"  e = {r.e}{h}: optimal {list(r.parameters)}")
+    for entry in optimal:
+        h = f" (e = 3^{entry['h']}+5)" if entry["h"] is not None else ""
+        params = list(entry["parameters"].values())
+        text.append(f"  e = {entry['e']}{h}: optimal {params}")
     text.append(f"{len(optimal)} optimal coset leaders")
     return 0, payload, text, None
 

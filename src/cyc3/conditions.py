@@ -317,11 +317,11 @@ def verify_family(
     name: str, ms: list[int]
 ) -> list[tuple[FamilyInstance, ConditionReport]]:
     """verify_optimal over every instance of a family, in order.  Every
-    field's tables are built first, so an m without them is refused before
-    any instance runs."""
+    m's tables are built first, so an m without them is refused before
+    listing the instances, whose 3^h never ends for an m far past the cap."""
+    for m in ms:
+        build_field(m).tables()
     instances = family_instances(name, ms)
-    for inst in instances:
-        build_field(inst.m).tables()
     return [
         (inst, verify_optimal(build_field(inst.m), inst.e, inst.h))
         for inst in instances

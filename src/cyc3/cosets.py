@@ -8,6 +8,9 @@ leader the smallest member.  coset() answers for p below 2^COSET_PRIME_BITS
 and p^m - 1 below 2^COSET_MODULUS_BITS and refuses anything larger up
 front: the primality test is trial division, and p**m is not computed until
 its size is known to be in bounds.
+
+cosets_meeting() is the one walk that lists cosets without repeats, for
+cosets_partition() and for the classes that `search` evaluates.
 """
 
 from __future__ import annotations
@@ -65,23 +68,31 @@ def coset(j: int, p: int, m: int) -> Coset:
     return Coset(p, m, members[0], tuple(members))
 
 
+def cosets_meeting(exponents, p: int, m: int):
+    """Each coset mod p^m - 1 that holds one of exponents (all in
+    [0, p^m - 1)), once, in order of first meeting.
+
+    One coset() call per coset: the members of each coset yielded are
+    marked, and an exponent already marked is skipped.
+    """
+    met = bytearray(p**m - 1)
+    for j in exponents:
+        if not met[j]:
+            c = coset(j, p, m)
+            for member in c.members:
+                met[member] = 1
+            yield c
+
+
 def cosets_partition(p: int, m: int) -> list[Coset]:
     """All cosets mod p^m - 1, sorted by leader; they partition [0, p^m-1).
 
-    No command uses it: it is the leader oracle that the tests and
-    perfbench/make_reference.py check other enumerations of coset leaders
-    (and the minimal polynomials of x^n - 1) against.
+    The walk over [0, p^m - 1) meets each coset first at its leader.  No
+    command uses the partition itself: it is the leader oracle that the
+    tests and perfbench/make_reference.py check other enumerations of coset
+    leaders (and the minimal polynomials of x^n - 1) against.
     """
-    n = p**m - 1
-    seen = [False] * n
-    out = []
-    for j in range(n):
-        if not seen[j]:
-            c = coset(j, p, m)
-            for member in c.members:
-                seen[member] = True
-            out.append(c)
-    return out
+    return list(cosets_meeting(range(p**m - 1), p, m))
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import cyc3
 from cyc3.cli import main
 from cyc3.conditions import verify_optimal
 from cyc3.cosets import coset, cosets_partition
@@ -128,6 +131,53 @@ def test_scans_above_the_table_cap_are_refused(capsys, argv):
     assert code == 2
     assert out == ""
     assert "m <= 12" in err
+
+
+# whole-group search at m = 20 would mark 3^20 - 1 exponents (3.3 GiB)
+# before the first scan refused; the table cap must refuse it first
+SEARCH_REFUSAL_RSS_BUDGET_MIB = 64
+
+_SEARCH_M20_OWN_PEAK = """
+from cyc3.cli import main
+code = main(["search", "--m", "20"])
+with open("/proc/self/status") as fh:
+    peak_kib = next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM:"))
+print(code, peak_kib)
+"""
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="needs /proc/self/status"
+)
+def test_search_above_the_table_cap_is_refused_before_it_allocates():
+    # the child reads its own high-water mark, as in test_field.py
+    src = str(Path(cyc3.__file__).resolve().parents[1])
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", _SEARCH_M20_OWN_PEAK],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert time.perf_counter() - start < 5
+    assert "Zech tables exist only for m <= 12; got m=20" in proc.stderr
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 2
+    assert peak_kib / 1024 < SEARCH_REFUSAL_RSS_BUDGET_MIB
+
+
+@pytest.mark.parametrize(
+    "name, m_list", [("open-problem", "100000002"), ("concl-A", "10000001")]
+)
+def test_family_refuses_a_huge_m_before_listing_instances(capsys, name, m_list):
+    # listing computes 3^h and walks h over [0, m): it must not start
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "family", "--name", name, "--m-list", m_list)
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out == ""
+    assert f"m must be in [1, 20], got {m_list}" in err
 
 
 @pytest.mark.parametrize("m_list", ["", ",", " , "])

@@ -1,17 +1,23 @@
 """Fuzzing the command line: every argv either gets an answer or a refusal.
 
-Random argv for `coset`, `field-info`, `minpoly` and `factor` run through
-`cli.main` in-process.  Integers come from the whole range, far past every
-limit, and polynomial text from a small alphabet, as raw strings and as
-sums of terms.  Each run must end with an exit code in {0, 1, 2}, with no
-exception escaping `main`, within the documented per-command budget of
-BUDGET_S seconds (README, exit codes).  `coset` refuses p >= 2^32 and
-p^m - 1 >= 2^64, and polynomial text above MAX_POLY_DEGREE is refused,
-before any of that work starts.  The examples are derandomized, so every
-run draws the same 300 and the test's cost stays fixed.
+Random argv for `coset`, `field-info`, `minpoly`, `factor` and the scan
+commands `verify`, `mindist`, `family` and `search` run through `cli.main`
+in-process.  Integers come from the whole range, far past every limit, and
+polynomial text from a small alphabet, as raw strings and as sums of
+terms; at least half of the scan commands' m draws lie below the table cap,
+where they answer.  `family` takes every name with an m-list of one to three
+integers, and `search` an e-range of at most 201 exponents.  Each run must
+end with an exit code in {0, 1, 2}, with no exception escaping `main`,
+within the documented per-command budget of BUDGET_S seconds (README, exit
+codes).  `coset` refuses p >= 2^32 and p^m - 1 >= 2^64, polynomial text
+above MAX_POLY_DEGREE is refused, and the scan commands refuse an m above
+the table cap, all before any of that work starts.  The examples are
+derandomized, so every run draws the same 300 per test and their cost
+stays fixed.
 
-`search` is out of scope: it is accepted for every m <= 12 and has no
-budget yet (it can run for hours at m = 12).
+Whole-group `search` is out of scope: it is accepted for every m <= 12 and
+has no budget yet (about 28 s at m = 11 and 225 s at m = 12 on a 2-core
+host).
 """
 
 import contextlib
@@ -50,6 +56,14 @@ poly_text = st.one_of(
     st.text(alphabet="x^+-0123, ", max_size=10),
     st.lists(terms, min_size=1, max_size=4).map("".join),
 )
+# half the draws take each m, or a whole m-list, below the table cap
+table_m = st.integers(min_value=1, max_value=12).map(str)
+scan_m = st.one_of(table_m, integers)
+m_lists = st.one_of(
+    st.lists(table_m, min_size=1, max_size=3),
+    st.lists(integers, min_size=1, max_size=3),
+).map(",".join)
+families = st.sampled_from(["open-problem", "concl-A", "concl-B", "concl-C"])
 formats = st.sampled_from(["text", "json"])
 
 argvs = st.one_of(
@@ -61,6 +75,17 @@ argvs = st.one_of(
         lambda t: ["minpoly", "--m", t[0], "--i", t[1]]
     ),
     poly_text.map(lambda text: ["factor", f"--poly={text}"]),
+)
+scan_argvs = st.one_of(
+    st.tuples(st.sampled_from(["verify", "mindist"]), scan_m, integers).map(
+        lambda t: [t[0], "--m", t[1], "--e", t[2]]
+    ),
+    st.tuples(families, m_lists).map(
+        lambda t: ["family", "--name", t[0], "--m-list", t[1]]
+    ),
+    st.tuples(scan_m, integers, st.integers(min_value=0, max_value=200)).map(
+        lambda t: ["search", "--m", t[0], f"--e-range={t[1]}..{int(t[1]) + t[2]}"]
+    ),
 )
 
 
@@ -76,6 +101,15 @@ def run_main(argv: list[str]) -> int:
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(argvs, formats)
 def test_cli_answers_or_refuses_within_budget(argv, fmt):
+    start = time.perf_counter()
+    code = run_main(argv + ["--format", fmt])
+    assert time.perf_counter() - start < BUDGET_S
+    assert code in (0, 1, 2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(scan_argvs, formats)
+def test_scan_commands_answer_or_refuse_within_budget(argv, fmt):
     start = time.perf_counter()
     code = run_main(argv + ["--format", fmt])
     assert time.perf_counter() - start < BUDGET_S

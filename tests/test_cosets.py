@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cyc3 import cosets
 from cyc3.cosets import (
     Coset,
     coset,
     coset_size_law_check,
+    cosets_meeting,
     cosets_partition,
     minimal_polynomial,
 )
@@ -89,6 +91,51 @@ def test_partition_covers_everything_once():
     assert [c.leader for c in cs] == sorted(c.leader for c in cs)
     for c in cs:
         assert 4 % c.size == 0  # orbit sizes divide m
+
+
+def _partition_by_flags(p, m):
+    # the reference walk: a list of flags, one coset call per unflagged j
+    n = p**m - 1
+    seen = [False] * n
+    out = []
+    for j in range(n):
+        if not seen[j]:
+            c = coset(j, p, m)
+            for member in c.members:
+                seen[member] = True
+            out.append(c)
+    return out
+
+
+@pytest.mark.parametrize(
+    "p, m",
+    [(2, m) for m in range(1, 9)]
+    + [(3, m) for m in range(1, 8)]
+    + [(5, m) for m in range(1, 5)],
+)
+def test_partition_matches_the_list_of_flags_walk(p, m):
+    assert cosets_partition(p, m) == _partition_by_flags(p, m)
+
+
+def test_walk_yields_each_coset_met_once_in_order_of_first_meeting(monkeypatch):
+    evens = range(102, 132, 2)
+    first_met = []
+    for e in evens:
+        leader = coset(e, 3, 5).leader
+        if leader not in first_met:
+            first_met.append(leader)
+    assert min(first_met) < 101  # some classes are met above their leader
+    assert first_met != sorted(first_met)
+    calls = []
+
+    def counting_coset(j, p, m):
+        calls.append(j)
+        return coset(j, p, m)
+
+    monkeypatch.setattr(cosets, "coset", counting_coset)
+    walked = list(cosets_meeting(evens, 3, 5))
+    assert [c.leader for c in walked] == first_met
+    assert len(calls) == len(walked)
 
 
 @pytest.mark.parametrize("m", [2, 4, 5, 6])
