@@ -4,7 +4,10 @@ The decision procedure evaluates, for a given (m, e):
 
   1. e is even;
   2. the coset facts: e is not conjugate to 1, and its coset has the full
-     size m (so the generator polynomial has degree 2m);
+     size m.  They give k = n - 2m with no polynomial built:
+     minimal_polynomial is a product of one linear factor per coset member,
+     so a full coset gives deg m_1 m_e = 2m.  The test
+     test_built_dimension_matches_the_coset_facts holds build_code to it;
   3. (x+1)^e - x^e - 1 = 0 has 0 as its only solution in GF(3^m);
   4. (x+1)^e + x^e + 1 = 0 has 1 as its only solution.
 
@@ -48,7 +51,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .codes import build_code
 from .cosets import coset
 from .field import Field, build_field
 from .gf3poly import Poly, powmod
@@ -233,15 +235,6 @@ def verify_optimal(field: Field, e: int, h: int | None = None) -> ConditionRepor
     optimal = (
         c1 and coset_ok and c2 == (field.zero,) and c3 == (field.one,)
     )
-    parameters = None
-    if optimal:
-        spec = build_code(field, e)
-        if spec.k != n - 2 * m:
-            raise RuntimeError(
-                f"dimension cross-check failed: built k={spec.k}, "
-                f"expected {n - 2 * m}"
-            )
-        parameters = (n, n - 2 * m, 4)
     return ConditionReport(
         m=m,
         e=e,
@@ -252,7 +245,7 @@ def verify_optimal(field: Field, e: int, h: int | None = None) -> ConditionRepor
         c2_solutions=c2,
         c3_solutions=c3,
         verdict="optimal" if optimal else "not_optimal",
-        parameters=parameters,
+        parameters=(n, n - 2 * m, 4) if optimal else None,
         modulus=field.modulus.format(),
     )
 

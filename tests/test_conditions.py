@@ -28,7 +28,7 @@ from cyc3.conditions import (
     verify_family,
     verify_optimal,
 )
-from cyc3.cosets import coset, cosets_partition
+from cyc3.cosets import coset, cosets_meeting, cosets_partition
 from cyc3.field import ZECH_ZERO, Field, build_field
 from cyc3.gf3poly import Poly, parse_poly, powmod
 
@@ -399,6 +399,29 @@ def test_conditions_biconditional_with_weight_search_at_m6_m8(m, leaders, optima
     assert (len(full), n_optimal) == (leaders, optimal)
 
 
+def test_conditions_biconditional_with_weight_search_sampled_at_m9():
+    """The same biconditional on a seeded sample of 100 of the 1,092
+    full-size even coset leaders at m = 9; all of them (649 optimal) agree,
+    but take about 12 s."""
+    field = build_field(9)
+    full = sorted(
+        c.leader
+        for c in cosets_meeting(range(2, field.order, 2), 3, 9)
+        if c.size == 9
+    )
+    assert len(full) == 1092
+    disagreements = []
+    n_optimal = 0
+    for e in random.Random(9).sample(full, 100):
+        verdict = verify_optimal(field, e).verdict == "optimal"
+        clean = min_weight_leq3_search(field, e).verdict == "no_word_below_4"
+        if verdict != clean:
+            disagreements.append(e)
+        n_optimal += verdict
+    assert disagreements == []
+    assert n_optimal == 64
+
+
 @settings(max_examples=40)
 @given(st.integers(min_value=1, max_value=39).map(lambda i: 2 * i))
 def test_optimality_is_a_coset_invariant(e):
@@ -489,8 +512,22 @@ def test_verify_family_unknown_name():
         verify_family("concl-Z", [5])
 
 
-def test_dimension_cross_check_runs_when_optimal():
-    # build_code agreeing with n - 2m is asserted inside verify_optimal;
-    # reaching a verdict at all means the cross-check held
-    r = verify_optimal(build_field(6), 86)
-    assert r.parameters[1] == 728 - 12
+@pytest.mark.parametrize("m,count", [(4, 32), (5, 120), (6, 336), (7, 1092)])
+def test_built_dimension_matches_the_coset_facts(m, count):
+    """verify_optimal takes k = n - 2m from the coset facts alone; the
+    generator build_code multiplies out must have that dimension at every
+    even e with full-size coset outside the class of 1, and every optimal
+    report must certify it."""
+    field = build_field(m)
+    n = field.order
+    checked = 0
+    for e in range(2, n, 2):
+        report = verify_optimal(field, e)
+        if not report.coset_ok:
+            continue
+        k = build_code(field, e).k
+        assert k == n - 2 * m, e
+        if report.verdict == "optimal":
+            assert report.parameters == (n, k, 4), e
+        checked += 1
+    assert checked == count
