@@ -88,7 +88,8 @@ def _wrap(command: str, body: dict) -> dict:
 # each handler returns (exit_code, json_payload, text_lines, csv_rows)
 # csv_rows is None unless the subcommand supports csv-row output, and never
 # empty otherwise (--m-list refuses empty input); the csv columns are the
-# keys of its first row, which every row shares
+# keys of its first row, which every row shares.  verify builds only what
+# its --format prints and leaves the rest None
 
 
 def _cmd_field_info(args):
@@ -189,10 +190,13 @@ def _cmd_code(args):
 def _cmd_verify(args):
     field = build_field(args.m)
     report = verify_optimal(field, args.e)
-    payload = report.to_json_dict(field)  # bare schema, no wrapper
-    text = _report_text_lines(report, field)
     code = 0 if report.verdict == "optimal" else 1
-    return code, payload, text, [_csv_row(payload)]
+    if args.format == "text":
+        # the text lists 8 solutions of each equation; the payload would
+        # format all of them, 531,441 at m = 12 for e in the coset of 1
+        return code, None, _report_text_lines(report, field), None
+    payload = report.to_json_dict(field)  # bare schema, no wrapper
+    return code, payload, None, [_csv_row(payload)]
 
 
 def _family_reading_report(rows) -> tuple[list[dict], list[str]]:

@@ -32,10 +32,20 @@ is a union of orbits of the group <3, -1> acting on Z_n (n = 3^m - 1) by
 multiplication.  The scan tests one point per orbit, its least logarithm,
 and lists the whole orbit of every hit: about n / (2m) points instead of
 n.  x = 0, which has no logarithm, and x = -1, where x + 1 vanishes
-(i = n/2, an orbit of its own), are decided apart.  One comparison of Zech
-logarithms decides both equations at each point: at x = alpha^i each
-compares the logarithms of (x+1)^e and x^e + 1, and the two differ only by
-the logarithm of -1, which is n/2.
+(i = n/2, an orbit of its own), are decided apart.
+
+One residue test of Zech logarithms decides both equations at each point.
+At x = alpha^i let (x+1)^e = alpha^lhs and x^e + 1 = alpha^rhs, with lhs
+and rhs in [0, n).  Since -1 = alpha^(n/2), the first equation holds when
+lhs = rhs and the second when lhs = rhs + n/2 mod n.  As |lhs - rhs| < n,
+both come down to one test, n/2 | lhs - rhs: a difference of 0 solves the
+first, one of +-n/2 the second.  Where x^e = -1, x^e + 1 has no logarithm
+and neither equation holds; the test rejects those points by itself
+(proof at the test in _solutions_table).  The (i, zech[i]) pairs of the
+orbit leaders are built once per Field.  A hit's orbit is listed by
+walking j -> 3j mod n from its leader and taking alpha^j and alpha^-j at
+each step; an orbit closed under negation comes out twice, and one set
+over each list drops the repeats before the final sort.
 
 The module also generates the exponent families under study: e = 3^h + 5
 with h tied to m/2, and, for odd m coprime to 3, three families tied to the
@@ -50,6 +60,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from weakref import WeakKeyDictionary
 
 from .cosets import coset
 from .field import Field, build_field
@@ -123,12 +134,29 @@ def _orbit_leaders(n: int) -> tuple[int, ...]:
     return tuple(leaders)
 
 
+_FIELD_SCAN_DATA: WeakKeyDictionary[Field, tuple] = WeakKeyDictionary()
+
+
+def _field_scan_data(field: Field) -> tuple[list[tuple[int, int]], str]:
+    """The (leader, zech[leader]) pairs the scan walks and the modulus
+    text reports carry, built once per Field and dropped with it.  The
+    pairs are keyed on the Field, not on n: moduli of one degree share n
+    and the orbit leaders, but not their Zech tables."""
+    data = _FIELD_SCAN_DATA.get(field)
+    if data is None:
+        zech = field.tables()[1]
+        pairs = [(i, zech[i]) for i in _orbit_leaders(field.order)]
+        data = _FIELD_SCAN_DATA[field] = pairs, field.modulus.format()
+    return data
+
+
 def _solutions_table(
     field: Field, e: int
 ) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
     """Solutions of (x+1)^e - x^e - 1 = 0 and of (x+1)^e + x^e + 1 = 0 via
     Zech logarithms, each in code order, from one walk over the orbit
     leaders of <3, -1>; every hit stands for its whole orbit."""
+    pairs = _field_scan_data(field)[0]
     exp, zech = field.tables()
     n = field.order
     half = n // 2
@@ -139,24 +167,28 @@ def _solutions_table(
     if emod * half % n == half:
         c2.append(exp[half])
         c3.append(exp[half])
-    for i in _orbit_leaders(n):
+    for i, zi in pairs:
         ie = i * emod % n
-        if ie == half:
-            continue  # x^e + 1 = 0 while x + 1 != 0: neither equation
-        # (x+1)^e = alpha^lhs and x^e + 1 = alpha^rhs; -1 = alpha^half
-        lhs = zech[i] * emod % n
-        rhs = zech[ie]
-        if lhs == rhs:
-            hits = c2
-        elif lhs == (rhs + half) % n:
-            hits = c3
-        else:
+        # (x+1)^e = alpha^lhs, lhs = zi * e mod n; x^e + 1 = alpha^rhs;
+        # -1 = alpha^half.  diff = lhs - rhs mod n, and |lhs - rhs| < n, so
+        # half | diff leaves lhs - rhs = 0, a c2 hit, or +-half, a c3 hit.
+        # Where x^e = -1 (ie = half) no equation holds and rhs reads
+        # ZECH_ZERO = -1; half | diff would then need zi * e = -1 mod half,
+        # so e prime to half, and i * e = half = 0 mod half would put i at
+        # 0 or half, where ie is 0 or i is no leader: no skip is needed
+        diff = zi * emod - zech[ie]
+        if diff % half:
             continue
-        members = coset(i, 3, field.m).members
-        orbit = set(members) | {-j % n for j in members}
-        hits.extend(exp[j] for j in orbit)
-    c2.sort()
-    c3.sort()
+        hits = c3 if diff % n else c2
+        j = i
+        while True:  # the orbit of i: its coset and the negation of it
+            hits.append(exp[j])
+            hits.append(exp[-j])
+            j = j * 3 % n
+            if j == i:
+                break
+    c2 = sorted(set(c2))  # an orbit closed under negation lists twice
+    c3 = sorted(set(c3))
     return tuple(map(field.decode, c2)), tuple(map(field.decode, c3))
 
 
@@ -232,6 +264,7 @@ def verify_optimal(field: Field, e: int, h: int | None = None) -> ConditionRepor
     coset_ok = cos_e.leader != 1 and cos_e.size == m
     gcd_value = math.gcd(e, n)
     c2, c3 = _solutions_table(field, e)
+    modulus = _field_scan_data(field)[1]
     optimal = (
         c1 and coset_ok and c2 == (field.zero,) and c3 == (field.one,)
     )
@@ -246,7 +279,7 @@ def verify_optimal(field: Field, e: int, h: int | None = None) -> ConditionRepor
         c3_solutions=c3,
         verdict="optimal" if optimal else "not_optimal",
         parameters=(n, n - 2 * m, 4) if optimal else None,
-        modulus=field.modulus.format(),
+        modulus=modulus,
     )
 
 

@@ -14,7 +14,7 @@ import cyc3
 from cyc3.cli import main
 from cyc3.conditions import verify_optimal
 from cyc3.cosets import coset, cosets_partition
-from cyc3.field import build_field
+from cyc3.field import Field, build_field
 from cyc3.gf3poly import Poly, is_irreducible, parse_poly
 
 
@@ -55,6 +55,23 @@ def test_verify_csv_row(capsys):
     header, row = out.strip().split("\n")
     assert header.startswith("m,e,h,c1,cosetOk,gcd,")
     assert row.startswith("4,14,2,true,true,2,")
+
+
+def test_text_verify_formats_only_the_solutions_it_prints(capsys, monkeypatch):
+    # every element solves condition 2 at e = 1; the text shows 8 of each
+    # list, so it formats at most 16 elements, not all 729
+    calls = []
+    format_element = Field.format_element
+
+    def counting(self, a):
+        calls.append(a)
+        return format_element(self, a)
+
+    monkeypatch.setattr(Field, "format_element", counting)
+    code, out, _ = run_cli(capsys, "verify", "--m", "6", "--e", "1")
+    assert code == 1
+    assert "condition 2 solutions (729):" in out
+    assert 0 < len(calls) <= 16
 
 
 def test_code_conjugate_exponent_exit_two(capsys):

@@ -17,8 +17,8 @@ derandomized, so every run draws the same 300 per test and their cost
 stays fixed.
 
 Whole-group `search` is out of scope: it is accepted for every m <= 12 and
-has no budget yet (17-34 s at m = 11 and 223 s at m = 12 on a 2-core host
-with Python 3.11.7).
+has no budget yet (15-16 s at m = 11 and 141-163 s at m = 12, three runs
+each on a 2-core host with Python 3.11.7).
 """
 
 import contextlib

@@ -1,6 +1,8 @@
 """Optimality conditions, exponent families, and cross-oracle agreement."""
 
+import gc
 import random
+import weakref
 from array import array
 
 import pytest
@@ -15,6 +17,8 @@ from cyc3.codes import (
 )
 from cyc3.conditions import (
     FAMILY_C_READINGS,
+    _FIELD_SCAN_DATA,
+    _field_scan_data,
     _orbit_leaders,
     _solutions_generic,
     _solutions_table,
@@ -199,11 +203,70 @@ def test_orbit_scan_matches_the_full_walk_on_every_even_leader(m):
         assert _solutions_table(field, e) == _full_walk(field, e), e
 
 
-@pytest.mark.parametrize("m", [4, 5])
-def test_orbit_scan_matches_the_full_walk_on_every_even_exponent(m):
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_orbit_scan_matches_the_full_walk_on_every_exponent(m):
+    # odd e put x = -1 into both lists, and e in the coset of 1 makes
+    # every x solve condition 2
     field = build_field(m)
-    for e in range(2, field.order, 2):
+    for e in range(1, field.order):
         assert _solutions_table(field, e) == _full_walk(field, e), e
+    assert len(_solutions_table(field, 1)[0]) == 3**m
+
+
+def test_the_full_walk_comparison_meets_the_scan_edge_cases():
+    # over m = 2..5 the comparison above reaches, at an even e, a leader i
+    # with i*e = n/2 (x^e = -1 while x != -1, where the Zech table reads
+    # ZECH_ZERO and the residue test must reject), and a nonzero orbit
+    # closed under negation, which e = 1 makes a hit (listed twice, kept
+    # once)
+    cases = [(m, 3**m - 1, i) for m in range(2, 6) for i in _orbit_leaders(3**m - 1)]
+    assert any(i * e % n == n // 2 for m, n, i in cases for e in range(2, n, 2))
+    assert any(i and -i % n in coset(i, 3, m).members for m, n, i in cases)
+
+
+def test_scan_data_is_kept_per_field_not_per_degree():
+    # two moduli of degree 5 share n and the orbit leaders, not their Zech
+    # tables; scanned alternately, each still matches the generic scan
+    a, b = (
+        Field(5, modulus=parse_poly(text))
+        for text in ("x^5+x^4-x^3+1", "x^5+x^4+x^2+1")
+    )
+    assert _field_scan_data(a)[0] != _field_scan_data(b)[0]
+    for e in (4, 14, 122):
+        for field in (a, b, a, b):
+            c2, c3 = _solutions_table(field, e)
+            assert c2 == tuple(_solutions_generic(field, e, -1)), e
+            assert c3 == tuple(_solutions_generic(field, e, +1)), e
+    assert _solutions_table(a, 122) != _solutions_table(b, 122)
+
+
+def test_scan_data_is_freed_with_its_field():
+    field = Field(4)
+    _solutions_table(field, 14)
+    assert field in _FIELD_SCAN_DATA
+    held = len(_FIELD_SCAN_DATA)
+    ref = weakref.ref(field)
+    del field
+    gc.collect()
+    assert ref() is None
+    assert len(_FIELD_SCAN_DATA) <= held - 1
+
+
+def test_verify_optimal_calls_coset_once(monkeypatch):
+    # e = 122 at m = 5 has 61 solutions to each equation; their orbits are
+    # walked inline, and only e's own coset is computed
+    import cyc3.conditions
+
+    calls = []
+
+    def counting_coset(*args):
+        calls.append(args)
+        return coset(*args)
+
+    monkeypatch.setattr(cyc3.conditions, "coset", counting_coset)
+    r = verify_optimal(Field(5), 122)
+    assert len(r.c2_solutions) == len(r.c3_solutions) == 61
+    assert calls == [(122, 3, 5)]
 
 
 def test_orbit_scan_matches_the_generic_scan_at_m5_m6():
