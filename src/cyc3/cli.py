@@ -11,29 +11,31 @@ byte-identical), which is why wall time appears only in text output and
 every collection is emitted in a fixed order.  The verify subcommand emits
 the bare report schema; every other command wraps its payload with the
 command name and artifact version.
+
+Each subcommand imports what it runs: `code` and `mindist` load
+`cyc3.codes`, `identities` loads `cyc3.identities`, and only csv-row output
+loads `csv`, each inside its handler, so `verify`, `family` and `search`
+load just `conditions`, `cosets`, `field` and `gf3poly`.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
 import time
 
 from . import __version__
-from .codes import (
-    build_code,
-    hamming_ball,
-    min_weight_leq3_search,
-    sphere_packing_max_d,
-)
 from .conditions import ConditionReport, verify_family, verify_optimal
 from .cosets import coset, cosets_meeting, minimal_polynomial
 from .field import LOG_TABLE_MAX_DEGREE, build_field
 from .gf3poly import PolyParseError, factor, parse_poly, prime_factors
-from .identities import run_all
+
+# the largest m whose whole group `search` scans without --e-range: m = 10
+# takes 2-3 s on a 2-core host; m = 11 took 14.5-19.8 s, too close to the
+# 20 s budget, and m = 12 about 150 s
+WHOLE_GROUP_SEARCH_MAX_M = 10
 
 
 def _bool_text(b: bool) -> str:
@@ -164,6 +166,8 @@ def _cmd_minpoly(args):
 
 
 def _cmd_code(args):
+    from .codes import build_code
+
     field = build_field(args.m)
     spec = build_code(field, args.e)
     payload = _wrap(
@@ -278,6 +282,13 @@ def _cmd_family(args):
 
 
 def _cmd_mindist(args):
+    from .codes import (
+        build_code,
+        hamming_ball,
+        min_weight_leq3_search,
+        sphere_packing_max_d,
+    )
+
     field = build_field(args.m)
     spec = build_code(field, args.e)
     witness = min_weight_leq3_search(field, args.e)
@@ -355,6 +366,8 @@ def _cmd_factor(args):
 
 
 def _cmd_identities(args):
+    from .identities import run_all
+
     checks = run_all()
     payload = _wrap(
         "identities",
@@ -392,6 +405,12 @@ def _cmd_search(args):
     lo, hi = args.e_range if args.e_range else (min(2, n - 1), n - 1)
     if not 1 <= lo <= hi <= n - 1:
         raise ValueError(f"e-range must lie within [1, {n - 1}]")
+    # past the table cap, tables() below gives the refusal
+    if not args.e_range and WHOLE_GROUP_SEARCH_MAX_M < args.m <= LOG_TABLE_MAX_DEGREE:
+        raise ValueError(
+            f"whole-group search runs only for m <= {WHOLE_GROUP_SEARCH_MAX_M}; "
+            f"give --e-range A..B to scan part of the group at m={args.m}"
+        )
     field.tables()  # refuses an m above the table cap before the walk
     # no even e is conjugate to 1: n is even, so e's coset holds only even
     # numbers and that of 1 only odd ones
@@ -535,6 +554,8 @@ def _emit(args, payload, text_lines, rows, elapsed: float) -> None:
     if args.format == "json":
         out = json.dumps(payload, indent=2) + "\n"
     elif args.format == "csv-row":
+        import csv
+
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=rows[0], lineterminator="\n")
         writer.writeheader()

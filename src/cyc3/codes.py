@@ -25,8 +25,8 @@ hit is confirmed against the actual field arithmetic before being reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .cosets import coset, minimal_polynomial
 from .field import Field
@@ -46,8 +46,7 @@ class ConjugateExponentError(ValueError):
         self.coset = members
 
 
-@dataclass(frozen=True)
-class CodeSpec:
+class CodeSpec(NamedTuple):
     m: int
     e: int
     n: int
@@ -90,8 +89,7 @@ def syndrome(field: Field, e: int, positions, values) -> tuple[Poly, Poly]:
     return s1, s2
 
 
-@dataclass(frozen=True)
-class WeightWitness:
+class WeightWitness(NamedTuple):
     verdict: str  # "no_word_below_4" or "found"
     positions: tuple[int, ...] | None = None
     values: tuple[int, ...] | None = None

@@ -58,8 +58,8 @@ one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
 from .cosets import coset
@@ -73,8 +73,7 @@ FAMILY_C_READINGS = (
 )
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     m: int
     e: int
     h: int | None
@@ -283,8 +282,7 @@ def verify_optimal(field: Field, e: int, h: int | None = None) -> ConditionRepor
     )
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
+class FamilyInstance(NamedTuple):
     family: str  # open-problem | concl-A | concl-B | concl-C
     m: int
     h: int

@@ -15,8 +15,8 @@ cosets_partition() and for the classes that `search` evaluates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .field import Field
 from .gf3poly import Poly, prime_factors
@@ -30,8 +30,7 @@ def _is_prime(p: int) -> bool:
     return p >= 2 and prime_factors(p) == (p,)
 
 
-@dataclass(frozen=True)
-class Coset:
+class Coset(NamedTuple):
     p: int
     m: int
     leader: int
@@ -95,8 +94,7 @@ def cosets_partition(p: int, m: int) -> list[Coset]:
     return list(cosets_meeting(range(p**m - 1), p, m))
 
 
-@dataclass(frozen=True)
-class CosetSizeReport:
+class CosetSizeReport(NamedTuple):
     p: int
     m: int
     checked: int

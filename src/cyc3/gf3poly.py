@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 # the highest degree that parse_poly accepts, so that factor stays within
@@ -336,8 +336,7 @@ def _compress(v: int) -> int:
     return int(s[len(s) - 1 :: -3][::-1], 2)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """unit * product of factors**multiplicity, factors monic and sorted."""
 
     unit: int

@@ -27,8 +27,8 @@ in a fixed order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import combinations
+from typing import NamedTuple
 
 from .gf3poly import (
     Factorization,
@@ -131,8 +131,7 @@ _FACTORIZATIONS = (
 )
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     check_id: str
     status: str  # "pass" or "fail"
     lhs: Poly
@@ -249,6 +248,6 @@ def run_all() -> list[IdentityCheck]:
                 if poly_gcd(parse_poly(a), parse_poly(b)).degree != 0
             ]
             if problems:
-                check = replace(check, status="fail", detail="; ".join(problems))
+                check = check._replace(status="fail", detail="; ".join(problems))
         checks.append(check)
     return checks + verify_steps()

@@ -409,6 +409,31 @@ def test_search_bad_range(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("m", [11, 12])
+def test_whole_group_search_past_its_budget_is_refused_up_front(capsys, m):
+    # the whole group takes 15-20 s at m = 11 and minutes at m = 12; the
+    # refusal comes before the tables or any scan and names the way to ask
+    # for less
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "search", "--m", str(m), "--format", "json")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "--e-range" in err
+
+
+def test_ranged_search_at_m12_answers(capsys):
+    code, out, err = run_cli(
+        capsys, "search", "--m", "12", "--e-range", "2..200", "--format", "json"
+    )
+    assert (code, err) == (0, "")
+    d = json.loads(out)
+    assert d["eRange"] == [2, 200]
+    leaders = {coset(e, 3, 12).leader for e in range(2, 201, 2)}
+    assert d["evaluatedCosetLeaders"] == len(leaders)
+    found = [r["e"] for r in d["optimal"]]
+    assert found == sorted(found) and set(found) <= leaders and 2 in found
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code = main(

@@ -16,9 +16,10 @@ table cap, all before any of that work starts.  The examples are
 derandomized, so every run draws the same 300 per test and their cost
 stays fixed.
 
-Whole-group `search` is out of scope: it is accepted for every m <= 12 and
-has no budget yet (15-16 s at m = 11 and 141-163 s at m = 12, three runs
-each on a 2-core host with Python 3.11.7).
+Whole-group `search` (no `--e-range`) is not drawn here.  It answers for
+m <= 10 (1.9-3.0 s at m = 10 in three runs on a 2-core host with Python
+3.11.7) and refuses m = 11 and 12 (14.5-19.8 s and 141-163 s there) with
+exit 2 before any scan; `tests/test_cli.py` checks that refusal.
 """
 
 import contextlib
