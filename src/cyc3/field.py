@@ -32,8 +32,8 @@ yields the logarithm of 1 + b at every code b but that of -1, and the Zech
 table is a single gather from that temporary array at the codes in exp; no
 discrete-log table is kept.  The same digits, comma-joined, are the text
 form of an element (format_element).  Both encode and format_element read
-the element's `coeffs`, padded with zeros to m; decode writes its bit
-planes directly.
+the element's digits straight from its bit planes, padded with zeros to m;
+decode writes its bit planes directly.
 
 Degrees are capped at MAX_DEGREE so every exponent and order fits
 comfortably in machine integers.
@@ -98,8 +98,7 @@ class Field:
     def encode(self, a: Poly) -> int:
         """The code of a: its coefficients as a base-3 numeral, constant
         term most significant."""
-        cs = a.coeffs
-        return int("".join(map(str, cs)) + "0" * (self.m - len(cs)), 3)
+        return int(self._digits(a), 3)
 
     def decode(self, code: int) -> Poly:
         low, high_planes, low_planes = self._plane_halves
@@ -169,8 +168,13 @@ class Field:
 
     def format_element(self, a: Poly) -> str:
         """The m coefficients of a, constant term first, comma-joined."""
-        cs = a.coeffs
-        return ",".join(map(str, cs + (0,) * (self.m - len(cs))))
+        return ",".join(self._digits(a))
+
+    def _digits(self, a: Poly) -> str:
+        # each plane's binary digits read in decimal, the twos doubled: the
+        # sum has a's coefficients as decimal digits, with no carry
+        digits = int(f"{a._p1:b}") + 2 * int(f"{a._p2:b}")
+        return str(digits)[::-1].ljust(self.m, "0")
 
     def __repr__(self) -> str:
         return f"Field(m={self.m}, modulus={self.modulus.format()!r})"

@@ -32,9 +32,12 @@ Beyond ring arithmetic the module provides division with remainder, monic
 gcd, modular exponentiation, Frobenius powers by iterated cubing, a
 deterministic irreducibility test, and complete factorization.  Factoring
 runs squarefree decomposition, then distinct-degree splitting, then
-equal-degree splitting; the equal-degree stage draws each random element as
-two planes from a generator seeded with 0, so output is reproducible bit
-for bit.
+equal-degree splitting by the trace: modulo each degree-d factor,
+a + a^3 + ... + a^(3^(d-1)) is a constant in GF(3), so a random a splits
+the product up to three ways with d - 1 cubings and two gcds, and no
+product mod f (von zur Gathen and Gerhard, Modern Computer Algebra, 14.3).
+Each a is drawn as two planes from a generator seeded with 0, and factors
+are sorted, so output is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -45,9 +48,9 @@ from typing import NamedTuple
 
 
 # the highest degree that parse_poly accepts, so that factor stays within
-# its 20 s budget: at this degree a dense random polynomial took 4.1-5.7 s
-# (three seeds, mostly distinct-degree gcds) and x^D - 1 0.16 s on a 2-core
-# host with Python 3.11
+# its 20 s budget: at this degree a dense random polynomial took 3.9-5.2 s
+# as a whole CLI run (three seeds, mostly distinct-degree gcds) and x^D - 1
+# 0.09-0.12 s in one process on a 2-core host with Python 3.11
 MAX_POLY_DEGREE = 3000
 
 
@@ -649,52 +652,49 @@ def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
-def _half_power(a: Poly, d: int, f: Poly) -> Poly:
-    """a^((3^d-1)/2) mod f for d >= 1, f monic.  The exponent's d base-3
-    digits are all 1, so the power is the product of the Frobenius images
-    a^(3^i), i < d.  With E_k = (3^k-1)/2, E_2k = E_k + 3^k E_k and
-    E_(k+1) = 3 E_k + 1, so following the binary digits of d takes about
-    d cubings, which cost no reduction, and 2 log2(d) products mod f."""
-    rows = _frobenius_rows(f)
-    a = a % f
-    power, k = a, 1
-    for bit in bin(d)[3:]:
-        p1, p2 = power._p1, power._p2
-        for _ in range(k):
-            p1, p2 = _cube_mod(p1, p2, rows)
-        power = power * _poly(p1, p2) % f
-        k *= 2
-        if bit == "1":
-            power = _poly(*_cube_mod(power._p1, power._p2, rows)) * a % f
-            k += 1
-    return power
+def _trace(a: Poly, d: int, rows: list[tuple[int, int]]) -> Poly:
+    """a + a^3 + ... + a^(3^(d-1)) mod f for a residue a, given f's
+    Frobenius rows: d - 1 cubings and additions, no product mod f.  Modulo
+    an irreducible factor of f of degree d it is the trace of a, in GF(3)."""
+    p1, p2 = t1, t2 = a._p1, a._p2
+    for _ in range(d - 1):
+        p1, p2 = _cube_mod(p1, p2, rows)
+        t = (t1 | p2) ^ (t2 | p1)  # _add, inlined
+        t1, t2 = (t2 | p2) ^ t, (t1 | p1) ^ t
+    return _poly(t1, t2)
 
 
 def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:
-    # f monic, all irreducible factors of degree d; Cantor-Zassenhaus split.
-    # a is drawn as two planes, a coefficient 1 where p1 has a bit and 2
-    # where only p2 has one; any a splits f correctly, the draw only sets
-    # how often the gcd is proper
+    # f monic, all irreducible factors of degree d; trace split.  Modulo each
+    # factor the trace t of a random a is a constant c, so gcd(t, f),
+    # gcd(t - 1, rest) and what is left split f up to three ways.  t is
+    # constant only when every factor has the same c, and only then is a
+    # drawn again.  a is drawn as two planes, a coefficient 1 where p1 has a
+    # bit and 2 where only p2 has one
     n = f.degree
     if n == d:
         return [f]
+    rows = _frobenius_rows(f)
     while True:
         p1 = rng.getrandbits(n)
-        a = _poly(p1, rng.getrandbits(n) & ~p1)
-        if a.degree < 1:
-            continue
-        g = poly_gcd(_half_power(a, d, f) - Poly.one(), f)
-        if 0 < g.degree < n:
+        t = _trace(_poly(p1, rng.getrandbits(n) & ~p1), d, rows)
+        if t.degree > 0:
             break
-    return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
+    g = poly_gcd(t, f)
+    rest = f // g
+    h = poly_gcd(t - Poly.one(), rest)
+    parts = (g, h, rest // h)
+    return [irr for p in parts if p.degree > 0 for irr in _equal_degree(p, d, rng)]
 
 
 def factor(f: Poly) -> Factorization:
     """Complete factorization into monic irreducibles.
 
-    The result is deterministic: the equal-degree split draws its random
-    elements, two bit planes each, from a generator seeded with 0, and
-    factors are sorted by degree, then by ascending coefficient sequence.
+    Squarefree parts, then distinct-degree products, then the trace split
+    of each product into its degree-d factors.  The result is
+    deterministic: the trace split draws its random elements, two bit
+    planes each, from a generator seeded with 0, and factors are sorted by
+    degree, then by ascending coefficient sequence.
     """
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")

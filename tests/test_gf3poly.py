@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from cyc3.gf3poly import (
     MAX_POLY_DEGREE,
     Factorization,
-    _half_power,
+    _equal_degree,
+    _frobenius_rows,
+    _trace,
     Poly,
     PolyParseError,
     factor,
@@ -463,7 +465,7 @@ def test_factor_sorted_by_degree_then_coeffs():
     assert keys == sorted(keys)
 
 
-@pytest.mark.parametrize("m", [4, 5])
+@pytest.mark.parametrize("m", [4, 5, 6])
 def test_factor_x_to_the_field_order_minus_one(m):
     # x^(3^m-1) - 1 is the product of every monic irreducible whose degree
     # divides m, apart from x, each once
@@ -607,17 +609,46 @@ def test_frobenius_power_matches_reference(a, tail, d, lead):
     assert frobenius_power(Poly(a), d, Poly(mod)).coeffs == expected
 
 
+def seeded_irreducible(d, rng):
+    # a monic irreducible of degree d, drawn until trial division finds no
+    # divisor
+    while True:
+        p = Poly([rng.randrange(3) for _ in range(d)] + [1])
+        if ref_is_irreducible(p.coeffs):
+            return p
+
+
 @given(
-    sized_lists(digits, 80),
-    sized_lists(digits, 40).filter(len),
-    st.integers(min_value=1, max_value=13),
+    sized_lists(digits, 40),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=2**32),
 )
 @settings(max_examples=60)
-def test_half_power_is_the_product_of_frobenius_images(a, tail, d):
-    # the equal-degree split's a^((3^d-1)/2) mod f, against square-and-multiply;
-    # d up to 13 takes every binary digit pattern of up to four digits
-    f = Poly(tail + [1])
-    assert _half_power(Poly(a), d, f) == powmod(Poly(a), (3**d - 1) // 2, f)
+def test_trace_is_the_constant_sum_of_frobenius_images(a, d, seed):
+    # modulo an irreducible p of degree d, the equal-degree split's
+    # a + a^3 + ... + a^(3^(d-1)) is the trace of a down to GF(3)
+    p = seeded_irreducible(d, random.Random(seed))
+    a = Poly(a)
+    t = _trace(a % p, d, _frobenius_rows(p))
+    assert t.degree < 1
+    assert t == sum((powmod(a, 3**i, p) for i in range(d)), Poly())
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_equal_degree_returns_the_seeded_irreducibles(d):
+    # at d = 1 and 2 all three irreducibles of that degree, else six drawn
+    if d <= 2:
+        chosen = {p for p in monic_polys(d) if ref_is_irreducible(p.coeffs)}
+    else:
+        rng = random.Random(d)
+        chosen = set()
+        while len(chosen) < 6:
+            chosen.add(seeded_irreducible(d, rng))
+    f = ONE
+    for p in chosen:
+        f = f * p
+    for seed in range(5):
+        assert sorted(_equal_degree(f, d, random.Random(seed))) == sorted(chosen)
 
 
 @given(long_lists, long_lists, st.integers(min_value=0, max_value=201))
