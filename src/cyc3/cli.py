@@ -32,10 +32,11 @@ from .cosets import coset, cosets_meeting, minimal_polynomial
 from .field import LOG_TABLE_MAX_DEGREE, build_field
 from .gf3poly import PolyParseError, factor, parse_poly, prime_factors
 
-# the largest m whose whole group `search` scans without --e-range: m = 10
-# takes 2-3 s on a 2-core host; m = 11 took 14.5-19.8 s, too close to the
-# 20 s budget, and m = 12 about 150 s
-WHOLE_GROUP_SEARCH_MAX_M = 10
+# the most orbit points one `search` may test.  On a 2-core host the whole
+# group at m = 10 (8.9 M points) took 1.9-3.0 s, at m = 11 (65 M)
+# 14.5-19.8 s, and 137 M points at m = 12 took 49 s; 20 M keeps a search
+# well inside the 20 s budget with room for the host's drift
+SEARCH_MAX_ORBIT_POINTS = 20_000_000
 
 
 def _bool_text(b: bool) -> str:
@@ -43,13 +44,16 @@ def _bool_text(b: bool) -> str:
 
 
 def _csv_row(payload: dict) -> dict[str, str]:
-    """A verify JSON report, as emitted, flattened into csv cells:
-    `parameters` spreads into n, k, d (all empty when it is null), null
-    becomes empty, booleans true/false, and lists are joined with |."""
+    """A JSON object, as emitted, flattened into csv cells: a nested object
+    spreads into its own keys (`parameters` into n, k, d, all empty when it
+    is null), null becomes empty, booleans true/false, and lists are joined
+    with |."""
     row = {}
     for key, value in payload.items():
         if key == "parameters":
-            row.update(_csv_row(value or dict.fromkeys("nkd")))
+            value = value or dict.fromkeys("nkd")
+        if isinstance(value, dict):
+            row.update(_csv_row(value))
         elif value is None:
             row[key] = ""
         elif isinstance(value, bool):
@@ -65,7 +69,7 @@ def _report_text_lines(report: ConditionReport, field) -> list[str]:
     lines = [
         f"m = {report.m}, e = {report.e}"
         + (f", h = {report.h}" if report.h is not None else ""),
-        f"modulus: {report.modulus}",
+        f"modulus: {field.modulus.format()}",
         f"condition 1 (e even): {'pass' if report.c1 else 'FAIL'}",
         f"coset facts (e not conjugate to 1, full coset size): "
         f"{'pass' if report.coset_ok else 'FAIL'} (gcd(e, 3^m-1) = {report.gcd_value})",
@@ -87,11 +91,9 @@ def _wrap(command: str, body: dict) -> dict:
     return {"command": command, "artifactVersion": __version__, **body}
 
 
-# each handler returns (exit_code, json_payload, text_lines, csv_rows)
-# csv_rows is None unless the subcommand supports csv-row output, and never
-# empty otherwise (--m-list refuses empty input); the csv columns are the
-# keys of its first row, which every row shares.  verify builds only what
-# its --format prints and leaves the rest None
+# each handler returns (exit_code, json_payload, text_lines); csv-row output
+# is the json payload flattened (_emit).  verify builds only what its
+# --format prints and leaves the other None
 
 
 def _cmd_field_info(args):
@@ -117,7 +119,7 @@ def _cmd_field_info(args):
         f"prime factors of the order: {', '.join(map(str, primes))}",
         f"log/Zech tables available: {_bool_text(log_tables)}",
     ]
-    return 0, payload, text, None
+    return 0, payload, text
 
 
 def _cmd_coset(args):
@@ -138,7 +140,7 @@ def _cmd_coset(args):
         f"leader = {c.leader}, size = {c.size}",
         f"members: {', '.join(map(str, c.members))}",
     ]
-    return 0, payload, text, None
+    return 0, payload, text
 
 
 def _cmd_minpoly(args):
@@ -162,7 +164,7 @@ def _cmd_minpoly(args):
         f"degree {poly.degree} = coset size of leader {c.leader}",
         f"modulus: {field.modulus.format()}",
     ]
-    return 0, payload, text, None
+    return 0, payload, text
 
 
 def _cmd_code(args):
@@ -188,7 +190,7 @@ def _cmd_code(args):
         f"generator polynomial (degree {spec.generator.degree}): {spec.generator.format()}",
         f"modulus: {field.modulus.format()}",
     ]
-    return 0, payload, text, None
+    return 0, payload, text
 
 
 def _cmd_verify(args):
@@ -198,9 +200,8 @@ def _cmd_verify(args):
     if args.format == "text":
         # the text lists 8 solutions of each equation; the payload would
         # format all of them, 531,441 at m = 12 for e in the coset of 1
-        return code, None, _report_text_lines(report, field), None
-    payload = report.to_json_dict(field)  # bare schema, no wrapper
-    return code, payload, None, [_csv_row(payload)]
+        return code, None, _report_text_lines(report, field)
+    return code, report.to_json_dict(field), None  # bare schema, no wrapper
 
 
 def _family_reading_report(rows) -> tuple[list[dict], list[str]]:
@@ -241,16 +242,14 @@ def _family_reading_report(rows) -> tuple[list[dict], list[str]]:
 def _cmd_family(args):
     ms = args.m_list
     rows = verify_family(args.name, ms)
-    instances_json = []
-    csv_rows = []
-    for inst, rep in rows:
-        report = rep.to_json_dict(build_field(inst.m))
-        instances_json.append(
-            {"family": inst.family, "reading": inst.reading, "report": report}
-        )
-        csv_rows.append(
-            _csv_row({"family": inst.family, "reading": inst.reading, **report})
-        )
+    instances_json = [
+        {
+            "family": inst.family,
+            "reading": inst.reading,
+            "report": rep.to_json_dict(build_field(inst.m)),
+        }
+        for inst, rep in rows
+    ]
     n_opt = sum(rep.verdict == "optimal" for _, rep in rows)
     body = {
         "name": args.name,
@@ -278,7 +277,7 @@ def _cmd_family(args):
         code = 0 if n_opt == len(rows) else 1
     text.append(f"optimal: {n_opt} of {len(rows)}")
     payload = _wrap("family", body)
-    return code, payload, text, csv_rows
+    return code, payload, text
 
 
 def _cmd_mindist(args):
@@ -336,7 +335,7 @@ def _cmd_mindist(args):
     if witness.verdict == "no_word_below_4" and max_d == 4:
         text.append("distance is exactly 4: no word below 4, and the bound caps d at 4")
     payload = _wrap("mindist", body)
-    return 0, payload, text, None
+    return 0, payload, text
 
 
 def _cmd_factor(args):
@@ -362,7 +361,7 @@ def _cmd_factor(args):
     for p, mult in fac.factors:
         parts.append(f"({p.format()})" + (f"^{mult}" if mult > 1 else ""))
     text.append("  " + (" * ".join(parts) if parts else "1"))
-    return 0, payload, text, None
+    return 0, payload, text
 
 
 def _cmd_identities(args):
@@ -395,7 +394,7 @@ def _cmd_identities(args):
         text.append(line)
     n_pass = sum(c.passed for c in checks)
     text.append(f"{n_pass} of {len(checks)} checks pass")
-    return (0 if n_pass == len(checks) else 1), payload, text, None
+    return (0 if n_pass == len(checks) else 1), payload, text
 
 
 def _cmd_search(args):
@@ -405,18 +404,24 @@ def _cmd_search(args):
     lo, hi = args.e_range if args.e_range else (min(2, n - 1), n - 1)
     if not 1 <= lo <= hi <= n - 1:
         raise ValueError(f"e-range must lie within [1, {n - 1}]")
-    # past the table cap, tables() below gives the refusal
-    if not args.e_range and WHOLE_GROUP_SEARCH_MAX_M < args.m <= LOG_TABLE_MAX_DEGREE:
+    evens = range(lo + lo % 2, hi + 1, 2)
+    # each class met is scanned over about n/(2m) orbit leaders, and there
+    # are about as many even classes as leaders; past the table cap,
+    # tables() below gives the refusal
+    leaders = n // (2 * args.m) + 1
+    points = min(len(evens), leaders) * leaders
+    if points > SEARCH_MAX_ORBIT_POINTS and args.m <= LOG_TABLE_MAX_DEGREE:
         raise ValueError(
-            f"whole-group search runs only for m <= {WHOLE_GROUP_SEARCH_MAX_M}; "
-            f"give --e-range A..B to scan part of the group at m={args.m}"
+            f"search over e in [{lo}, {hi}] at m={args.m} would test about "
+            f"{points:,} orbit points, past the budget of "
+            f"{SEARCH_MAX_ORBIT_POINTS:,}; give a narrower --e-range A..B"
         )
     field.tables()  # refuses an m above the table cap before the walk
     # no even e is conjugate to 1: n is even, so e's coset holds only even
     # numbers and that of 1 only odd ones
     optimal = []
     evaluated = 0
-    for cos in cosets_meeting(range(lo + lo % 2, hi + 1, 2), 3, args.m):
+    for cos in cosets_meeting(evens, 3, args.m):
         evaluated += 1
         report = verify_optimal(field, cos.leader)
         if report.verdict == "optimal":
@@ -442,7 +447,7 @@ def _cmd_search(args):
         params = list(entry["parameters"].values())
         text.append(f"  e = {entry['e']}{h}: optimal {params}")
     text.append(f"{len(optimal)} optimal coset leaders")
-    return 0, payload, text, None
+    return 0, payload, text
 
 
 def _parse_m_list(text: str) -> list[int]:
@@ -550,12 +555,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, payload, text_lines, rows, elapsed: float) -> None:
+def _emit(args, payload, text_lines, elapsed: float) -> None:
     if args.format == "json":
         out = json.dumps(payload, indent=2) + "\n"
     elif args.format == "csv-row":
         import csv
 
+        # a bare verify report is one row, a family payload one row per
+        # instance; every row has the columns of the first
+        rows = [_csv_row(obj) for obj in payload.get("instances", [payload])]
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=rows[0], lineterminator="\n")
         writer.writeheader()
@@ -575,12 +583,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
-        code, payload, text_lines, rows = args.func(args)
+        code, payload, text_lines = args.func(args)
     except PolyParseError as exc:
         print(f"error: bad polynomial: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:  # ConjugateExponentError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(args, payload, text_lines, rows, time.perf_counter() - t0)
+    _emit(args, payload, text_lines, time.perf_counter() - t0)
     return code

@@ -56,9 +56,8 @@ class CodeSpec(NamedTuple):
 
 def build_code(field: Field, e: int) -> CodeSpec:
     """The code with nonzeros alpha and alpha^e; rejects conjugate e."""
+    field.check_exponent(e)
     n = field.order
-    if not 1 <= e <= n - 1:
-        raise ValueError(f"e must be in [1, {n - 1}], got {e}")
     m_e = minimal_polynomial(field, e)
     if m_e == field.modulus:  # alpha^e is a conjugate of alpha
         raise ConjugateExponentError(e, coset(e, 3, field.m).members)
@@ -117,9 +116,8 @@ def min_weight_leq3_search(field: Field, e: int) -> WeightWitness:
     pairs (0, j) covers all of them.  An m without Zech tables is refused
     (ValueError) by field.tables().
     """
+    field.check_exponent(e)
     n = field.order
-    if not 1 <= e <= n - 1:
-        raise ValueError(f"e must be in [1, {n - 1}], got {e}")
     _, zech = field.tables()
     half = n // 2
     emod = e % n

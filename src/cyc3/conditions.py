@@ -74,6 +74,9 @@ FAMILY_C_READINGS = (
 
 
 class ConditionReport(NamedTuple):
+    """One (m, e) certification.  It carries no modulus: to_json_dict and
+    the CLI text read it from the Field the report was computed over."""
+
     m: int
     e: int
     h: int | None
@@ -84,7 +87,6 @@ class ConditionReport(NamedTuple):
     c3_solutions: tuple[Poly, ...]
     verdict: str  # "optimal" or "not_optimal"
     parameters: tuple[int, int, int] | None
-    modulus: str
 
     def to_json_dict(self, field: Field) -> dict:
         return {
@@ -104,7 +106,7 @@ class ConditionReport(NamedTuple):
                 "k": self.parameters[1],
                 "d": self.parameters[2],
             },
-            "modulus": self.modulus,
+            "modulus": field.modulus.format(),
         }
 
 
@@ -133,20 +135,20 @@ def _orbit_leaders(n: int) -> tuple[int, ...]:
     return tuple(leaders)
 
 
-_FIELD_SCAN_DATA: WeakKeyDictionary[Field, tuple] = WeakKeyDictionary()
+_FIELD_SCAN_DATA: WeakKeyDictionary[Field, list] = WeakKeyDictionary()
 
 
-def _field_scan_data(field: Field) -> tuple[list[tuple[int, int]], str]:
-    """The (leader, zech[leader]) pairs the scan walks and the modulus
-    text reports carry, built once per Field and dropped with it.  The
-    pairs are keyed on the Field, not on n: moduli of one degree share n
-    and the orbit leaders, but not their Zech tables."""
-    data = _FIELD_SCAN_DATA.get(field)
-    if data is None:
+def _field_scan_data(field: Field) -> list[tuple[int, int]]:
+    """The (leader, zech[leader]) pairs the scan walks, built once per
+    Field and dropped with it.  They are keyed on the Field, not on n:
+    moduli of one degree share n and the orbit leaders, but not their Zech
+    tables."""
+    pairs = _FIELD_SCAN_DATA.get(field)
+    if pairs is None:
         zech = field.tables()[1]
         pairs = [(i, zech[i]) for i in _orbit_leaders(field.order)]
-        data = _FIELD_SCAN_DATA[field] = pairs, field.modulus.format()
-    return data
+        _FIELD_SCAN_DATA[field] = pairs
+    return pairs
 
 
 def _solutions_table(
@@ -155,7 +157,7 @@ def _solutions_table(
     """Solutions of (x+1)^e - x^e - 1 = 0 and of (x+1)^e + x^e + 1 = 0 via
     Zech logarithms, each in code order, from one walk over the orbit
     leaders of <3, -1>; every hit stands for its whole orbit."""
-    pairs = _field_scan_data(field)[0]
+    pairs = _field_scan_data(field)
     exp, zech = field.tables()
     n = field.order
     half = n // 2
@@ -215,16 +217,14 @@ def check_c3(field: Field, e: int) -> tuple[Poly, ...]:
     return _solutions_table(field, e)[1]
 
 
-def gcd_chain_check(m: int, h: int) -> int:
-    """gcd(3^h + 5, 3^m - 1) under the e = 3^h + 5 family constraints
-    (open_problem_exponent's m and h).
+def gcd_chain_check(m: int) -> int:
+    """gcd(3^h + 5, 3^m - 1) for the open-problem exponent of m (h from
+    open_problem_exponent, which refuses odd m and m < 4).
 
     The result is asserted to be 2, which is what forces the full coset
     size via the coset-size law.
     """
-    expected_h, e = open_problem_exponent(m)
-    if h != expected_h:
-        raise ValueError(f"h must be {expected_h} for m={m}, got {h}")
+    h, e = open_problem_exponent(m)
     g = math.gcd(e, 3**m - 1)
     if g != 2:
         raise RuntimeError(f"gcd(3^{h}+5, 3^{m}-1) = {g}, expected 2")
@@ -255,15 +255,13 @@ def verify_optimal(field: Field, e: int, h: int | None = None) -> ConditionRepor
     """Full certification of one (m, e); never raises on a failing
     condition, that is what the verdict is for.  An m without Zech tables
     is refused (ValueError) by the scan's field.tables()."""
+    field.check_exponent(e)
     m, n = field.m, field.order
-    if not 1 <= e <= n - 1:
-        raise ValueError(f"e must be in [1, {n - 1}], got {e}")
     c1 = check_c1(e)
     cos_e = coset(e, 3, m)
     coset_ok = cos_e.leader != 1 and cos_e.size == m
     gcd_value = math.gcd(e, n)
     c2, c3 = _solutions_table(field, e)
-    modulus = _field_scan_data(field)[1]
     optimal = (
         c1 and coset_ok and c2 == (field.zero,) and c3 == (field.one,)
     )
@@ -278,7 +276,6 @@ def verify_optimal(field: Field, e: int, h: int | None = None) -> ConditionRepor
         c3_solutions=c3,
         verdict="optimal" if optimal else "not_optimal",
         parameters=(n, n - 2 * m, 4) if optimal else None,
-        modulus=modulus,
     )
 
 

@@ -82,6 +82,11 @@ class Field:
         self._exp: array | None = None
         self._zech: array | None = None
 
+    def check_exponent(self, e: int) -> None:
+        """Refuse (ValueError) an exponent e outside [1, order - 1]."""
+        if not 1 <= e < self.order:
+            raise ValueError(f"e must be in [1, {self.order - 1}], got {e}")
+
     # -- elements ------------------------------------------------------------
 
     def exp_of_generator(self, i: int) -> Poly:

@@ -238,26 +238,12 @@ class Poly:
     def format(self) -> str:
         """The human text form; parse_poly(p.format()) == p."""
         cs = self.coeffs
-        if not cs:
-            return "0"
-        parts = []
+        text = ""
         for d in range(len(cs) - 1, -1, -1):
-            c = cs[d]
-            if not c:
-                continue
-            sign = "-" if c == 2 else "+"
-            if d == 0:
-                body = "1"
-            elif d == 1:
-                body = "x"
-            else:
-                body = f"x^{d}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = (first_sign if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += sign + body
-        return text
+            if cs[d]:
+                text += "-" if cs[d] == 2 else "+"
+                text += "1" if d == 0 else "x" if d == 1 else f"x^{d}"
+        return text.removeprefix("+") or "0"
 
 
 _new = object.__new__

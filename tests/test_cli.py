@@ -1,5 +1,7 @@
 """Command-line behavior: formats, exit codes, determinism."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import cyc3
-from cyc3.cli import main
+from cyc3.cli import _report_text_lines, main
 from cyc3.conditions import verify_optimal
 from cyc3.cosets import coset, cosets_partition
 from cyc3.field import Field, build_field
@@ -155,7 +157,7 @@ def test_scans_above_the_table_cap_are_refused(capsys, argv):
 SEARCH_REFUSAL_RSS_BUDGET_MIB = 64
 
 _SEARCH_M20_OWN_PEAK = """
-from cyc3.cli import main
+from cyc3.cli import _report_text_lines, main
 code = main(["search", "--m", "20"])
 with open("/proc/self/status") as fh:
     peak_kib = next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM:"))
@@ -341,6 +343,43 @@ def test_family_csv(capsys):
     assert len(lines) == 3
 
 
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return "|".join(value)
+    return str(value)
+
+
+def test_family_csv_rows_are_the_json_instances_flattened(capsys):
+    # one row per JSON instance: family, reading, then the report's keys in
+    # order, with parameters spread into n, k, d (m = 5 has null ones)
+    argv = ["family", "--name", "concl-C", "--m-list", "5,7"]
+    _, out, _ = run_cli(capsys, *argv, "--format", "json")
+    instances = json.loads(out)["instances"]
+    _, out, _ = run_cli(capsys, *argv, "--format", "csv-row")
+    header, *rows = csv.reader(io.StringIO(out))
+    assert len(rows) == len(instances)
+    for row, inst in zip(rows, instances):
+        flat = {"family": inst["family"], "reading": inst["reading"]}
+        for key, value in inst["report"].items():
+            if key == "parameters":
+                flat.update(value or dict.fromkeys("nkd"))
+            else:
+                flat[key] = value
+        assert header == list(flat)
+        assert row == [_csv_cell(v) for v in flat.values()]
+
+
+def test_reports_print_the_modulus_of_their_own_field():
+    field = Field(5, modulus=parse_poly("x^5+x^4+x^2+1"))
+    report = verify_optimal(field, 14)
+    assert report.to_json_dict(field)["modulus"] == "x^5+x^4+x^2+1"
+    assert "modulus: x^5+x^4+x^2+1" in _report_text_lines(report, field)
+
+
 def test_search_json(capsys):
     code, out, _ = run_cli(capsys, "search", "--m", "4", "--format", "json")
     d = json.loads(out)
@@ -416,6 +455,19 @@ def test_whole_group_search_past_its_budget_is_refused_up_front(capsys, m):
     # for less
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "search", "--m", str(m), "--format", "json")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "--e-range" in err
+
+
+def test_ranged_search_past_its_budget_is_refused_up_front(capsys):
+    # 2..20000 meets 6,167 classes at m = 12, each scanned over 22,217 orbit
+    # leaders: 49 s on a 2-core host.  The bound counts orbit points, so a
+    # range is held to it as the whole group is
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "search", "--m", "12", "--e-range", "2..20000", "--format", "json"
+    )
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert "--e-range" in err

@@ -55,7 +55,9 @@ def test_verify_optimal_80_72_4():
     assert r.c2_solutions == (f4.zero,)
     assert r.c3_solutions == (f4.one,)
     assert r.parameters == (80, 72, 4)
-    assert r.modulus == "x^4+x^3-1"
+    # the report keeps no copy of the modulus; its JSON reads the field's
+    assert "modulus" not in r._fields
+    assert r.to_json_dict(f4)["modulus"] == "x^4+x^3-1"
 
 
 @pytest.mark.parametrize(
@@ -231,7 +233,8 @@ def test_scan_data_is_kept_per_field_not_per_degree():
         Field(5, modulus=parse_poly(text))
         for text in ("x^5+x^4-x^3+1", "x^5+x^4+x^2+1")
     )
-    assert _field_scan_data(a)[0] != _field_scan_data(b)[0]
+    assert _field_scan_data(a) != _field_scan_data(b)
+    assert [i for i, _ in _field_scan_data(a)] == list(_orbit_leaders(a.order))
     for e in (4, 14, 122):
         for field in (a, b, a, b):
             c2, c3 = _solutions_table(field, e)
@@ -494,16 +497,30 @@ def test_optimality_is_a_coset_invariant(e):
     )
 
 
+@pytest.mark.parametrize("m", [4, 5])
+def test_exponent_entry_points_refuse_the_same_way(m):
+    field = build_field(m)
+    n = field.order
+    for e in (0, n):
+        messages = set()
+        for check in (verify_optimal, build_code, min_weight_leq3_search):
+            with pytest.raises(ValueError) as exc:
+                check(field, e)
+            messages.add(str(exc.value))
+        assert messages == {f"e must be in [1, {n - 1}], got {e}"}
+
+
 def test_gcd_chain():
     for m, h in [(4, 2), (6, 4), (8, 4), (10, 6)]:
-        assert gcd_chain_check(m, h) == 2
+        assert open_problem_exponent(m)[0] == h
+        assert gcd_chain_check(m) == 2
 
 
 def test_gcd_chain_rejects_wrong_h():
+    # h is derived from m, so the one wrong input left is an m that has no
+    # open-problem exponent
     with pytest.raises(ValueError):
-        gcd_chain_check(4, 3)
-    with pytest.raises(ValueError):
-        gcd_chain_check(5, 2)
+        gcd_chain_check(5)
 
 
 def test_open_problem_exponents():

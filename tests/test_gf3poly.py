@@ -332,6 +332,32 @@ def test_format_renders_two_as_minus():
     assert Poly.zero().format() == "0"
 
 
+def reference_format(cs) -> str:
+    # the text form term by term, highest degree first: the first term
+    # takes a sign only when negative, every later one always
+    terms = []
+    for d in reversed(range(len(cs))):
+        if cs[d] == 0:
+            continue
+        body = "1" if d == 0 else "x" if d == 1 else f"x^{d}"
+        if not terms:
+            terms.append(("-" if cs[d] == 2 else "") + body)
+        else:
+            terms.append(("-" if cs[d] == 2 else "+") + body)
+    return "".join(terms) if terms else "0"
+
+
+@given(sized_lists(st.integers(min_value=0, max_value=2), 61))
+@example([])
+@example([0, 0])
+@example([1])
+@example([2])
+@example([0, 0, 2])
+@example([1, 2, 0, 1, 2])
+def test_format_matches_the_reference_formatter(cs):
+    assert Poly(tuple(cs)).format() == reference_format(cs)
+
+
 @given(polys)
 def test_format_parse_round_trip_human(f):
     assert parse_poly(f.format()) == f
