@@ -9,12 +9,16 @@ qualifying h there; the even reading fails only at h = 4, e = 122).
 Runs from any directory: the package is imported from the checkout's src.
 """
 
+import io
+import json
 import sys
 import time
+from contextlib import redirect_stdout
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from cyc3.cli import main as cli_main
 from cyc3.codes import min_weight_leq3_search, sphere_packing_max_d
 from cyc3.conditions import gcd_chain_check, verify_family, verify_optimal
 from cyc3.cosets import coset_size_law_check
@@ -97,6 +101,18 @@ def main() -> int:
         w.verdict == "found" and w.positions == (0, 2, 170),
         "weight-3 codeword at (m=5, e=122)",
     )
+
+    section("whole-group search, the README table rows at m = 8, 9")
+    for m, optimal, evaluated in ((8, 58, 422), (9, 649, 1096)):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli_main(["search", "--m", str(m), "--format", "json"])
+        d = json.loads(out.getvalue())
+        expect(
+            code == 0
+            and (len(d["optimal"]), d["evaluatedCosetLeaders"]) == (optimal, evaluated),
+            f"search m={m}: {optimal} of {evaluated} optimal",
+        )
 
     section("identity suite")
     checks = run_all()

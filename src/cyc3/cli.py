@@ -29,7 +29,7 @@ import time
 from . import __version__
 from .conditions import ConditionReport, verify_family, verify_optimal
 from .cosets import coset, cosets_meeting, minimal_polynomial
-from .field import LOG_TABLE_MAX_DEGREE, build_field
+from .field import build_field
 from .gf3poly import PolyParseError, factor, parse_poly, prime_factors
 
 # the most orbit points one `search` may test.  On a 2-core host the whole
@@ -100,7 +100,7 @@ def _cmd_field_info(args):
     field = build_field(args.m)
     primes = prime_factors(field.order)
     generator = field.format_element(field.exp_of_generator(1))
-    log_tables = field.m <= LOG_TABLE_MAX_DEGREE
+    log_tables = field.has_tables
     payload = _wrap(
         "field-info",
         {
@@ -404,26 +404,24 @@ def _cmd_search(args):
     lo, hi = args.e_range if args.e_range else (min(2, n - 1), n - 1)
     if not 1 <= lo <= hi <= n - 1:
         raise ValueError(f"e-range must lie within [1, {n - 1}]")
-    evens = range(lo + lo % 2, hi + 1, 2)
-    # each class met is scanned over about n/(2m) orbit leaders, and there
-    # are about as many even classes as leaders; past the table cap,
-    # tables() below gives the refusal
-    leaders = n // (2 * args.m) + 1
-    points = min(len(evens), leaders) * leaders
-    if points > SEARCH_MAX_ORBIT_POINTS and args.m <= LOG_TABLE_MAX_DEGREE:
-        raise ValueError(
-            f"search over e in [{lo}, {hi}] at m={args.m} would test about "
-            f"{points:,} orbit points, past the budget of "
-            f"{SEARCH_MAX_ORBIT_POINTS:,}; give a narrower --e-range A..B"
-        )
-    field.tables()  # refuses an m above the table cap before the walk
-    # no even e is conjugate to 1: n is even, so e's coset holds only even
-    # numbers and that of 1 only odd ones
+    field.check_tables()  # before the walk marks n exponents
+    # the walk lists each class met, to be scanned over about n/(2m) orbit
+    # leaders, and stops at the first past the budget.  No even e is
+    # conjugate to 1: n is even, so e's coset holds only even numbers
+    per_class = n // (2 * args.m) + 1
+    leaders = []
+    for cos in cosets_meeting(range(lo + lo % 2, hi + 1, 2), 3, args.m):
+        leaders.append(cos.leader)
+        if len(leaders) * per_class > SEARCH_MAX_ORBIT_POINTS:
+            raise ValueError(
+                f"search over e in [{lo}, {hi}] at m={args.m} would test at "
+                f"least {len(leaders) * per_class:,} orbit points ({len(leaders):,} "
+                f"exponent classes of {per_class:,}), past the budget of "
+                f"{SEARCH_MAX_ORBIT_POINTS:,}; give a narrower --e-range A..B"
+            )
     optimal = []
-    evaluated = 0
-    for cos in cosets_meeting(evens, 3, args.m):
-        evaluated += 1
-        report = verify_optimal(field, cos.leader)
+    for e in leaders:
+        report = verify_optimal(field, e)
         if report.verdict == "optimal":
             body = report.to_json_dict(field)
             optimal.append({key: body[key] for key in ("e", "h", "parameters")})
@@ -433,14 +431,14 @@ def _cmd_search(args):
         {
             "m": args.m,
             "eRange": [lo, hi],
-            "evaluatedCosetLeaders": evaluated,
+            "evaluatedCosetLeaders": len(leaders),
             "optimal": optimal,
             "modulus": field.modulus.format(),
         },
     )
     text = [
         f"search over even e in [{lo}, {hi}] at m={args.m} "
-        f"({evaluated} coset leaders evaluated):"
+        f"({len(leaders)} coset leaders evaluated):"
     ]
     for entry in optimal:
         h = f" (e = 3^{entry['h']}+5)" if entry["h"] is not None else ""

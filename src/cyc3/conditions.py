@@ -41,11 +41,11 @@ lhs = rhs and the second when lhs = rhs + n/2 mod n.  As |lhs - rhs| < n,
 both come down to one test, n/2 | lhs - rhs: a difference of 0 solves the
 first, one of +-n/2 the second.  Where x^e = -1, x^e + 1 has no logarithm
 and neither equation holds; the test rejects those points by itself
-(proof at the test in _solutions_table).  The (i, zech[i]) pairs of the
-orbit leaders are built once per Field.  A hit's orbit is listed by
-walking j -> 3j mod n from its leader and taking alpha^j and alpha^-j at
-each step; an orbit closed under negation comes out twice, and one set
-over each list drops the repeats before the final sort.
+(proof at the test in _solutions_table).  One walk over Z_n per Field
+lists the (i, zech[i]) pairs of the orbit leaders, cached with the Field.
+A hit's orbit is listed by walking j -> 3j mod n from its leader and
+taking alpha^j and alpha^-j at each step; an orbit closed under negation
+comes out twice, and one set over each list drops the repeats.
 
 The module also generates the exponent families under study: e = 3^h + 5
 with h tied to m/2, and, for odd m coprime to 3, three families tied to the
@@ -58,7 +58,6 @@ one.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
@@ -114,39 +113,31 @@ def check_c1(e: int) -> bool:
     return e % 2 == 0
 
 
-@lru_cache(maxsize=None)
-def _orbit_leaders(n: int) -> tuple[int, ...]:
-    """The least member of every orbit of <3, -1> on Z_n, n = 3^m - 1,
-    except the fixed point n/2, in ascending order.  It depends on n alone,
-    so every modulus of one degree shares it."""
-    seen = bytearray(n)
-    seen[n // 2] = 1
-    leaders = []
-    i = seen.find(0)
-    while i >= 0:
-        leaders.append(i)
-        j = i
-        while True:  # the coset of i and its negation; seen[-j] is seen[n - j]
-            seen[j] = seen[-j] = 1
-            j = j * 3 % n
-            if j == i:
-                break
-        i = seen.find(0, i + 1)
-    return tuple(leaders)
-
-
 _FIELD_SCAN_DATA: WeakKeyDictionary[Field, list] = WeakKeyDictionary()
 
 
 def _field_scan_data(field: Field) -> list[tuple[int, int]]:
     """The (leader, zech[leader]) pairs the scan walks, built once per
-    Field and dropped with it.  They are keyed on the Field, not on n:
-    moduli of one degree share n and the orbit leaders, but not their Zech
-    tables."""
+    Field and dropped with it.  A leader is the least member of an orbit
+    of <3, -1> on Z_n, n = 3^m - 1; the fixed point n/2 is left out, and
+    the pairs run in ascending leader order."""
     pairs = _FIELD_SCAN_DATA.get(field)
     if pairs is None:
         zech = field.tables()[1]
-        pairs = [(i, zech[i]) for i in _orbit_leaders(field.order)]
+        n = field.order
+        seen = bytearray(n)
+        seen[n // 2] = 1
+        pairs = []
+        i = seen.find(0)
+        while i >= 0:
+            pairs.append((i, zech[i]))
+            j = i
+            while True:  # i's coset and its negation; seen[-j] is seen[n - j]
+                seen[j] = seen[-j] = 1
+                j = j * 3 % n
+                if j == i:
+                    break
+            i = seen.find(0, i + 1)
         _FIELD_SCAN_DATA[field] = pairs
     return pairs
 
@@ -337,11 +328,11 @@ def family_instances(name: str, ms: list[int]) -> list[FamilyInstance]:
 def verify_family(
     name: str, ms: list[int]
 ) -> list[tuple[FamilyInstance, ConditionReport]]:
-    """verify_optimal over every instance of a family, in order.  Every
-    m's tables are built first, so an m without them is refused before
-    listing the instances, whose 3^h never ends for an m far past the cap."""
+    """verify_optimal over every instance of a family, in order.  An m
+    without tables is refused before any table is built or instance
+    listed, whose 3^h never ends for an m far past the cap."""
     for m in ms:
-        build_field(m).tables()
+        build_field(m).check_tables()
     instances = family_instances(name, ms)
     return [
         (inst, verify_optimal(build_field(inst.m), inst.e, inst.h))

@@ -10,7 +10,8 @@ front: the primality test is trial division, and p**m is not computed until
 its size is known to be in bounds.
 
 cosets_meeting() is the one walk that lists cosets without repeats, for
-cosets_partition() and for the classes that `search` evaluates.
+cosets_partition() and for `search`, whose budget counts the classes it
+lists and which evaluates them.
 """
 
 from __future__ import annotations
@@ -72,7 +73,8 @@ def cosets_meeting(exponents, p: int, m: int):
     [0, p^m - 1)), once, in order of first meeting.
 
     One coset() call per coset: the members of each coset yielded are
-    marked, and an exponent already marked is skipped.
+    marked, and an exponent already marked is skipped.  Lazy, so `search`
+    counts the classes against its budget and stops at the first past it.
     """
     met = bytearray(p**m - 1)
     for j in exponents:

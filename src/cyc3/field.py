@@ -11,9 +11,9 @@ statement is representation independent, so reports always record the
 modulus in use.
 
 For m up to LOG_TABLE_MAX_DEGREE the field can build two tables, exponent
-and Zech logarithm; tables() is the one place that decides this, and
-every scan that needs them is refused through it.  The Zech table turns
-addition of two generator powers into integer index arithmetic:
+and Zech logarithm; has_tables says so without building them, and every
+scan that needs them is refused through check_tables().  The Zech table
+turns addition of two generator powers into integer index arithmetic:
 alpha^u + alpha^v = alpha^(u + zech[(v-u) mod n]), with a -1 sentinel where
 the sum is zero.  That is what makes the condition scans and the weight
 search fast enough in pure Python.
@@ -79,8 +79,17 @@ class Field:
         # the generator's padded coefficient tuple, as the benchmark's
         # field summary reads it; exp_of_generator(1) is the element
         self.gen = self._alpha.coeffs + (0,) * (m - len(self._alpha.coeffs))
+        self.has_tables = m <= LOG_TABLE_MAX_DEGREE
         self._exp: array | None = None
         self._zech: array | None = None
+
+    def check_tables(self) -> None:
+        """Refuse (ValueError) an m without tables, building nothing."""
+        if not self.has_tables:
+            raise ValueError(
+                f"Zech tables exist only for m <= {LOG_TABLE_MAX_DEGREE}; "
+                f"got m={self.m}"
+            )
 
     def check_exponent(self, e: int) -> None:
         """Refuse (ValueError) an exponent e outside [1, order - 1]."""
@@ -129,11 +138,7 @@ class Field:
         """
         if self._exp is not None:
             return self._exp, self._zech
-        if self.m > LOG_TABLE_MAX_DEGREE:
-            raise ValueError(
-                f"Zech tables exist only for m <= {LOG_TABLE_MAX_DEGREE}; "
-                f"got m={self.m}"
-            )
+        self.check_tables()
         m, n = self.m, self.order
         top = 3 ** (m - 1)  # code of one, and the weight of the top digit
         # a*x: drop the lowest digit c (the x^(m-1) coefficient) and add

@@ -241,9 +241,10 @@ def test_09_family_report_is_byte_deterministic():
 
 
 def test_reproduce_results_script_replays_every_result(tmp_path):
-    # the script reads the reports' solution lists and witnesses; it takes
-    # about a second, and runs from any directory: started elsewhere,
-    # with no PYTHONPATH, it still imports the checkout's own src
+    # the script reads the reports' solution lists and witnesses and
+    # replays the README's search rows at m = 8, 9; it takes about a
+    # second, and runs from any directory: started elsewhere, with no
+    # PYTHONPATH, it still imports the checkout's own src
     script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_results.py"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = timed(
@@ -258,3 +259,5 @@ def test_reproduce_results_script_replays_every_result(tmp_path):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "ALL RESULTS REPRODUCED" in proc.stdout
+    assert "ok   search m=8: 58 of 422 optimal" in proc.stdout
+    assert "ok   search m=9: 649 of 1096 optimal" in proc.stdout

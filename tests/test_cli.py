@@ -473,6 +473,36 @@ def test_ranged_search_past_its_budget_is_refused_up_front(capsys):
     assert "--e-range" in err
 
 
+def test_search_budget_counts_the_classes_it_scans(capsys, monkeypatch):
+    # at m = 6, 2..100 holds 50 even e but meets 30 classes, each scanned
+    # over n // (2m) + 1 = 62 orbit points.  With the budget at 30 classes
+    # that range answers, and the first range meeting a 31st is refused
+    m, n = 6, 728
+    per_class = n // (2 * m) + 1
+    c1 = coset(1, 3, m)
+    partition = [c for c in cosets_partition(3, m) if c != c1]
+
+    def classes(hi):
+        return sum(
+            any(2 <= e <= hi and e % 2 == 0 for e in c.members) for c in partition
+        )
+
+    assert classes(100) == 30
+    monkeypatch.setattr(cyc3.cli, "SEARCH_MAX_ORBIT_POINTS", 30 * per_class)
+    code, out, err = run_cli(
+        capsys, "search", "--m", "6", "--e-range", "2..100", "--format", "json"
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["evaluatedCosetLeaders"] == 30
+    hi = next(h for h in range(102, n, 2) if classes(h) == 31)
+    code, out, err = run_cli(
+        capsys, "search", "--m", "6", "--e-range", f"2..{hi}", "--format", "json"
+    )
+    assert (code, out) == (2, "")
+    assert f"(31 exponent classes of {per_class})" in err
+    assert "--e-range" in err
+
+
 def test_ranged_search_at_m12_answers(capsys):
     code, out, err = run_cli(
         capsys, "search", "--m", "12", "--e-range", "2..200", "--format", "json"

@@ -19,7 +19,6 @@ from cyc3.conditions import (
     FAMILY_C_READINGS,
     _FIELD_SCAN_DATA,
     _field_scan_data,
-    _orbit_leaders,
     _solutions_generic,
     _solutions_table,
     check_c1,
@@ -221,7 +220,11 @@ def test_the_full_walk_comparison_meets_the_scan_edge_cases():
     # ZECH_ZERO and the residue test must reject), and a nonzero orbit
     # closed under negation, which e = 1 makes a hit (listed twice, kept
     # once)
-    cases = [(m, 3**m - 1, i) for m in range(2, 6) for i in _orbit_leaders(3**m - 1)]
+    cases = [
+        (m, 3**m - 1, i)
+        for m in range(2, 6)
+        for i, _ in _field_scan_data(build_field(m))
+    ]
     assert any(i * e % n == n // 2 for m, n, i in cases for e in range(2, n, 2))
     assert any(i and -i % n in coset(i, 3, m).members for m, n, i in cases)
 
@@ -234,7 +237,10 @@ def test_scan_data_is_kept_per_field_not_per_degree():
         for text in ("x^5+x^4-x^3+1", "x^5+x^4+x^2+1")
     )
     assert _field_scan_data(a) != _field_scan_data(b)
-    assert [i for i, _ in _field_scan_data(a)] == list(_orbit_leaders(a.order))
+    assert [i for i, _ in _field_scan_data(a)] == [i for i, _ in _field_scan_data(b)]
+    for field in (a, b):
+        zech = field.tables()[1]
+        assert all(z == zech[i] for i, z in _field_scan_data(field))
     for e in (4, 14, 122):
         for field in (a, b, a, b):
             c2, c3 = _solutions_table(field, e)
@@ -296,7 +302,7 @@ def test_orbit_leaders_partition_the_logarithms(m):
     # the orbits of the leaders, plus the fixed point n/2, cover Z_n once,
     # and each leader is the least member of its orbit
     n = 3**m - 1
-    leaders = _orbit_leaders(n)
+    leaders = [i for i, _ in _field_scan_data(build_field(m))]
     covered = [n // 2]
     for i in leaders:
         members = coset(i, 3, m).members
@@ -304,7 +310,7 @@ def test_orbit_leaders_partition_the_logarithms(m):
         assert min(orbit) == i
         covered += orbit
     assert sorted(covered) == list(range(n))
-    assert list(leaders) == sorted(leaders)
+    assert leaders == sorted(leaders)
     # independent count: the cyclotomic cosets, each merged with its
     # negation, less the orbit {n/2}
     merged = {
@@ -465,27 +471,33 @@ def test_conditions_biconditional_with_weight_search_at_m6_m8(m, leaders, optima
     assert (len(full), n_optimal) == (leaders, optimal)
 
 
-def test_conditions_biconditional_with_weight_search_sampled_at_m9():
-    """The same biconditional on a seeded sample of 100 of the 1,092
-    full-size even coset leaders at m = 9; all of them (649 optimal) agree,
-    but take about 12 s."""
-    field = build_field(9)
+@pytest.mark.parametrize(
+    "m,full_count,sample,optimal",
+    [(9, 1092, 100, 64), (10, 2928, 40, 17), (11, 8052, 12, 10)],
+)
+def test_conditions_biconditional_with_weight_search_sampled(
+    m, full_count, sample, optimal
+):
+    """The same biconditional on a seeded sample of the full-size even
+    coset leaders at m = 9, 10 and 11.  At m = 9 all 1,092 agree (649
+    optimal) but take about 12 s; the samples take about a second each."""
+    field = build_field(m)
     full = sorted(
         c.leader
-        for c in cosets_meeting(range(2, field.order, 2), 3, 9)
-        if c.size == 9
+        for c in cosets_meeting(range(2, field.order, 2), 3, m)
+        if c.size == m
     )
-    assert len(full) == 1092
+    assert len(full) == full_count
     disagreements = []
     n_optimal = 0
-    for e in random.Random(9).sample(full, 100):
+    for e in random.Random(m).sample(full, sample):
         verdict = verify_optimal(field, e).verdict == "optimal"
         clean = min_weight_leq3_search(field, e).verdict == "no_word_below_4"
         if verdict != clean:
             disagreements.append(e)
         n_optimal += verdict
     assert disagreements == []
-    assert n_optimal == 64
+    assert n_optimal == optimal
 
 
 @settings(max_examples=40)
@@ -585,6 +597,22 @@ def test_verify_family_open_problem():
     rows = verify_family("open-problem", [4, 6])
     assert [(i.m, i.e) for i, _ in rows] == [(4, 14), (6, 86)]
     assert all(rep.verdict == "optimal" for _, rep in rows)
+
+
+def test_verify_family_refuses_past_the_cap_before_any_table(monkeypatch):
+    # m = 4 is in reach and m = 14 is not: the sweep is refused before it
+    # builds the tables of either
+    built = []
+    tables = Field.tables
+
+    def counting_tables(self):
+        built.append(self.m)
+        return tables(self)
+
+    monkeypatch.setattr(Field, "tables", counting_tables)
+    with pytest.raises(ValueError, match="m <= 12; got m=14"):
+        verify_family("open-problem", [4, 14])
+    assert built == []
 
 
 def test_verify_family_unknown_name():

@@ -431,12 +431,22 @@ def test_zech_addition_formula():
 
 def test_tables_unavailable_above_cap():
     field = build_field(LOG_TABLE_MAX_DEGREE + 1)
-    with pytest.raises(ValueError) as exc:
-        field.tables()
-    assert str(exc.value) == (
+    assert not field.has_tables
+    message = (
         f"Zech tables exist only for m <= {LOG_TABLE_MAX_DEGREE}; "
         f"got m={LOG_TABLE_MAX_DEGREE + 1}"
     )
+    for refuse in (field.check_tables, field.tables):
+        with pytest.raises(ValueError) as exc:
+            refuse()
+        assert str(exc.value) == message
+
+
+def test_the_table_cap_is_answered_without_building_tables():
+    field = Field(LOG_TABLE_MAX_DEGREE)
+    assert field.has_tables
+    field.check_tables()
+    assert field._exp is None
 
 
 def test_minus_one_is_half_order_power():
