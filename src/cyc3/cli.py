@@ -73,14 +73,12 @@ def _report_text_lines(report: ConditionReport, field) -> list[str]:
         f"condition 1 (e even): {'pass' if report.c1 else 'FAIL'}",
         f"coset facts (e not conjugate to 1, full coset size): "
         f"{'pass' if report.coset_ok else 'FAIL'} (gcd(e, 3^m-1) = {report.gcd_value})",
-        f"condition 2 solutions ({len(report.c2_solutions)}): "
-        + ", ".join(field.format_element(x) for x in report.c2_solutions[:8])
-        + (" ..." if len(report.c2_solutions) > 8 else ""),
-        f"condition 3 solutions ({len(report.c3_solutions)}): "
-        + ", ".join(field.format_element(x) for x in report.c3_solutions[:8])
-        + (" ..." if len(report.c3_solutions) > 8 else ""),
-        f"verdict: {report.verdict}",
     ]
+    for number, codes in ((2, report.c2_solutions), (3, report.c3_solutions)):
+        shown = ", ".join(map(field.format_element, codes[:8]))
+        more = " ..." if len(codes) > 8 else ""
+        lines.append(f"condition {number} solutions ({len(codes)}): {shown}{more}")
+    lines.append(f"verdict: {report.verdict}")
     if report.parameters:
         n, k, d = report.parameters
         lines.append(f"parameters: [{n}, {k}, {d}]")
@@ -99,7 +97,7 @@ def _wrap(command: str, body: dict) -> dict:
 def _cmd_field_info(args):
     field = build_field(args.m)
     primes = prime_factors(field.order)
-    generator = field.format_element(field.exp_of_generator(1))
+    generator = field.format_element(field.encode(field.exp_of_generator(1)))
     log_tables = field.has_tables
     payload = _wrap(
         "field-info",

@@ -19,8 +19,8 @@ cyclic, so every word of weight 3 has a cyclic shift with a nonzero at
 position 0 whose next nonzero is at most n/3 away, and the scan is linear
 in n.  For each j it solves for the unique candidate third
 column and accepts only hits with index k > j, with the third scalar
-normalized to 1; the candidate lookup runs in Zech-logarithm space, and any
-hit is confirmed against the actual field arithmetic before being reported.
+normalized to 1; the candidate lookup runs in Zech-logarithm space, and a
+hit is confirmed by its syndrome, from powers read off the exp table.
 """
 
 from __future__ import annotations

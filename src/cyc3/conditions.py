@@ -44,8 +44,11 @@ and neither equation holds; the test rejects those points by itself
 (proof at the test in _solutions_table).  One walk over Z_n per Field
 lists the (i, zech[i]) pairs of the orbit leaders, cached with the Field.
 A hit's orbit is listed by walking j -> 3j mod n from its leader and
-taking alpha^j and alpha^-j at each step; an orbit closed under negation
-comes out twice, and one set over each list drops the repeats.
+taking the codes exp[j] and exp[-j] at each step; an orbit closed under
+negation comes out twice, and one set over each list drops the repeats.
+The lists stay ascending element codes through the report to its text;
+the table-free oracle _solutions_generic decodes each code for its
+arithmetic and returns codes too.
 
 The module also generates the exponent families under study: e = 3^h + 5
 with h tied to m/2, and, for odd m coprime to 3, three families tied to the
@@ -63,7 +66,7 @@ from weakref import WeakKeyDictionary
 
 from .cosets import coset
 from .field import Field, build_field
-from .gf3poly import Poly, powmod
+from .gf3poly import powmod
 
 # Readings of the ambiguous constant in family C, as (tag, value-for-m).
 FAMILY_C_READINGS = (
@@ -82,8 +85,8 @@ class ConditionReport(NamedTuple):
     c1: bool
     coset_ok: bool
     gcd_value: int
-    c2_solutions: tuple[Poly, ...]
-    c3_solutions: tuple[Poly, ...]
+    c2_solutions: tuple[int, ...]  # element codes, ascending
+    c3_solutions: tuple[int, ...]
     verdict: str  # "optimal" or "not_optimal"
     parameters: tuple[int, int, int] | None
 
@@ -142,12 +145,11 @@ def _field_scan_data(field: Field) -> list[tuple[int, int]]:
     return pairs
 
 
-def _solutions_table(
-    field: Field, e: int
-) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
-    """Solutions of (x+1)^e - x^e - 1 = 0 and of (x+1)^e + x^e + 1 = 0 via
-    Zech logarithms, each in code order, from one walk over the orbit
-    leaders of <3, -1>; every hit stands for its whole orbit."""
+def _solutions_table(field: Field, e: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The codes of the solutions of (x+1)^e - x^e - 1 = 0 and of
+    (x+1)^e + x^e + 1 = 0 via Zech logarithms, each ascending, from one
+    walk over the orbit leaders of <3, -1>; every hit stands for its whole
+    orbit."""
     pairs = _field_scan_data(field)
     exp, zech = field.tables()
     n = field.order
@@ -179,32 +181,31 @@ def _solutions_table(
             j = j * 3 % n
             if j == i:
                 break
-    c2 = sorted(set(c2))  # an orbit closed under negation lists twice
-    c3 = sorted(set(c3))
-    return tuple(map(field.decode, c2)), tuple(map(field.decode, c3))
+    # an orbit closed under negation lists twice
+    return tuple(sorted(set(c2))), tuple(sorted(set(c3)))
 
 
-def _solutions_generic(field: Field, e: int, sign: int) -> list[Poly]:
-    """Same solution set by square-and-multiply on every element.  It reads
-    no exp or Zech table, so tests use it as an independent oracle for the
-    table scan; it is far too slow to decide verdicts."""
+def _solutions_generic(field: Field, e: int, sign: int) -> list[int]:
+    """Same solution codes by square-and-multiply on every element.  It
+    reads no exp or Zech table, so tests use it as an independent oracle
+    for the table scan; it is far too slow to decide verdicts."""
     one, modulus = field.one, field.modulus
     sols = []
-    for x in field.elements():  # code order
+    for code, x in enumerate(field.elements()):
         lhs = powmod(x + one, e, modulus)
         rhs = powmod(x, e, modulus) + one
         if lhs == (-rhs if sign > 0 else rhs):
-            sols.append(x)
+            sols.append(code)
     return sols
 
 
-def check_c2(field: Field, e: int) -> tuple[Poly, ...]:
-    """All x with (x+1)^e - x^e - 1 = 0, in code order."""
+def check_c2(field: Field, e: int) -> tuple[int, ...]:
+    """The codes of all x with (x+1)^e - x^e - 1 = 0, ascending."""
     return _solutions_table(field, e)[0]
 
 
-def check_c3(field: Field, e: int) -> tuple[Poly, ...]:
-    """All x with (x+1)^e + x^e + 1 = 0, in code order."""
+def check_c3(field: Field, e: int) -> tuple[int, ...]:
+    """The codes of all x with (x+1)^e + x^e + 1 = 0, ascending."""
     return _solutions_table(field, e)[1]
 
 
@@ -253,9 +254,7 @@ def verify_optimal(field: Field, e: int, h: int | None = None) -> ConditionRepor
     coset_ok = cos_e.leader != 1 and cos_e.size == m
     gcd_value = math.gcd(e, n)
     c2, c3 = _solutions_table(field, e)
-    optimal = (
-        c1 and coset_ok and c2 == (field.zero,) and c3 == (field.one,)
-    )
+    optimal = c1 and coset_ok and c2 == (0,) and c3 == (field.encode(field.one),)
     return ConditionReport(
         m=m,
         e=e,

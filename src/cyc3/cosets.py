@@ -140,8 +140,8 @@ def minimal_polynomial(field: Field, i: int) -> Poly:
     for coeff in poly:
         if coeff.degree > 0:
             raise RuntimeError(
-                f"minimal polynomial coefficient {field.format_element(coeff)} "
-                f"left the base field"
+                "minimal polynomial coefficient "
+                f"{field.format_element(field.encode(coeff))} left the base field"
             )
         base_coeffs.append(coeff.lc)
     return Poly(base_coeffs)

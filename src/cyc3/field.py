@@ -1,11 +1,15 @@
 """GF(3^m) construction, element codes and exponent/Zech tables.
 
-An element is a reduced residue: a `Poly` of degree below m modulo a monic
-irreducible modulus of degree m, with the ring operations of `gf3poly`
-(`+`, `-`, `* int`, and `a * b % field.modulus`).  The generator alpha is
-always the residue class of x.  The canonical modulus for each m is the
-first monic irreducible, in ascending coefficient-sequence order, in which
-x is primitive.  An explicit modulus may be supplied instead, but x must be
+An element is an integer code: its coefficients c0, c1, ..., c(m-1) read
+as a base-3 numeral, constant term most significant.  The tables, the
+condition scans, the reports and the text form hold codes.  Arithmetic
+decodes them to reduced residues, `Poly`s of degree below m modulo a monic
+irreducible of degree m, with the ring operations of `gf3poly` (`+`, `-`,
+`* int`, and `a * b % field.modulus`), and encodes back; elements()
+decodes every code in order.  The generator alpha is always the residue
+class of x.  The canonical modulus for each m is the first monic
+irreducible, in ascending coefficient-sequence order, in which x is
+primitive.  An explicit modulus may be supplied instead, but x must be
 primitive modulo it too; other moduli are refused.  Every verified
 statement is representation independent, so reports always record the
 modulus in use.
@@ -20,20 +24,17 @@ search fast enough in pure Python.
 
 The tables are `array('i')`: an entry is a C int, where a list entry is a
 pointer to an int object of its own, so they take a fraction of a list's
-memory; an entry reads back as a fresh Python int.  They hold elements as
-integer codes: an element's code is its coefficient sequence c0, c1, ...,
-c(m-1) read as a base-3 numeral with the constant term as the most
-significant digit (encode/decode convert, and elements() runs in code
-order).  Multiplying by x then shifts the code one digit down and adds a
-multiple of the modulus tail digit by digit through two lookup tables, and
-adding or subtracting 1 changes only the top digit.  So the loop that steps
-through the powers alpha^i also writes i at the code of alpha^i - 1, which
-yields the logarithm of 1 + b at every code b but that of -1, and the Zech
-table is a single gather from that temporary array at the codes in exp; no
-discrete-log table is kept.  The same digits, comma-joined, are the text
-form of an element (format_element).  Both encode and format_element read
-the element's digits straight from its bit planes, padded with zeros to m;
-decode writes its bit planes directly.
+memory; an entry reads back as a fresh Python int.  Multiplying a code by x
+shifts it one digit down and adds a multiple of the modulus tail digit by
+digit through two lookup tables, and adding or subtracting 1 changes only
+the top digit.  So the loop that steps through the powers alpha^i also
+writes i at the code of alpha^i - 1, which yields the logarithm of 1 + b at
+every code b but that of -1, and the Zech table is a single gather from
+that temporary array at the codes in exp; no discrete-log table is kept.
+
+The text form of a code is its m digits, comma-joined.  decode and
+format_element read one cached table of the bit planes and text of every
+half-code; encode reads the digits straight from the bit planes.
 
 Degrees are capped at MAX_DEGREE so every exponent and order fits
 comfortably in machine integers.
@@ -56,7 +57,7 @@ ZECH_ZERO = -1
 
 class Field:
     """GF(3^m) generated by x modulo a monic irreducible in which x is
-    primitive; elements are reduced `Poly` residues."""
+    primitive; elements are codes, decoded to `Poly` residues for arithmetic."""
 
     def __init__(self, m: int, modulus: Poly | None = None):
         if not 1 <= m <= MAX_DEGREE:
@@ -112,21 +113,22 @@ class Field:
     def encode(self, a: Poly) -> int:
         """The code of a: its coefficients as a base-3 numeral, constant
         term most significant."""
-        return int(self._digits(a), 3)
+        # each plane's bits, constant term first, read in base 3
+        m = self.m
+        return int(f"{a._p1:0{m}b}"[::-1], 3) + 2 * int(f"{a._p2:0{m}b}"[::-1], 3)
 
     def decode(self, code: int) -> Poly:
-        low, high_planes, low_planes = self._plane_halves
-        h1, h2 = high_planes[code // low]
-        l1, l2 = low_planes[code % low]
+        low, high_half, low_half = self._halves
+        h1, h2, _ = high_half[code // low]
+        l1, l2, _ = low_half[code % low]
         return _poly(h1 | l1, h2 | l2)
 
     @cached_property
-    def _plane_halves(self) -> tuple[int, list[tuple], list[tuple]]:
-        # with k = m // 2, a code splits into its high m - k digits, the
-        # coefficients of x^0 .. x^(m-k-1), and its low k digits, those of
-        # the rest; the bit planes of each half, in code order, decode it
+    def _halves(self) -> tuple[int, list[tuple], list[tuple]]:
+        # with k = m // 2, a code's high m - k digits are the coefficients
+        # of x^0 .. x^(m-k-1), and its low k digits those of the rest
         k = self.m // 2
-        return 3**k, _plane_table(0, self.m - k), _plane_table(self.m - k, k)
+        return 3**k, _half_table(0, self.m - k), _half_table(self.m - k, k)
 
     # -- tables --------------------------------------------------------------
 
@@ -176,27 +178,27 @@ class Field:
 
     # -- text form -----------------------------------------------------------
 
-    def format_element(self, a: Poly) -> str:
-        """The m coefficients of a, constant term first, comma-joined."""
-        return ",".join(self._digits(a))
-
-    def _digits(self, a: Poly) -> str:
-        # each plane's binary digits read in decimal, the twos doubled: the
-        # sum has a's coefficients as decimal digits, with no carry
-        digits = int(f"{a._p1:b}") + 2 * int(f"{a._p2:b}")
-        return str(digits)[::-1].ljust(self.m, "0")
+    def format_element(self, code: int) -> str:
+        """The m digits of a code, constant term first, comma-joined."""
+        low, high_half, low_half = self._halves
+        return high_half[code // low][2] + low_half[code % low][2]
 
     def __repr__(self) -> str:
         return f"Field(m={self.m}, modulus={self.modulus.format()!r})"
 
 
-def _plane_table(shift: int, digits: int) -> list[tuple[int, int]]:
-    """The bit planes (ones, twos) of every code of `digits` digits, in
-    code order; the most significant digit is the coefficient of x^shift."""
-    table = [(0, 0)]
+def _half_table(shift: int, digits: int) -> list[tuple[int, int, str]]:
+    """(ones plane, twos plane, text) of every code of `digits` digits, in
+    code order; the most significant digit is the coefficient of x^shift.
+    Each digit's text is preceded by a comma but that of x^0."""
+    table = [(0, 0, "")]
     for i in reversed(range(shift, shift + digits)):
-        digit_planes = ((0, 0), (1 << i, 0), (0, 1 << i))  # digits 0, 1, 2
-        table = [(p1 | d1, p2 | d2) for d1, d2 in digit_planes for p1, p2 in table]
+        sep = "," if i else ""
+        table = [
+            (p1 | d1, p2 | d2, f"{sep}{d}{text}")
+            for d, d1, d2 in ((0, 0, 0), (1, 1 << i, 0), (2, 0, 1 << i))
+            for p1, p2, text in table
+        ]
     return table
 
 

@@ -14,7 +14,7 @@ import pytest
 
 import cyc3
 from cyc3.cli import _report_text_lines, main
-from cyc3.conditions import verify_optimal
+from cyc3.conditions import _solutions_generic, verify_optimal
 from cyc3.cosets import coset, cosets_partition
 from cyc3.field import Field, build_field
 from cyc3.gf3poly import Poly, is_irreducible, parse_poly
@@ -74,6 +74,34 @@ def test_text_verify_formats_only_the_solutions_it_prints(capsys, monkeypatch):
     assert code == 1
     assert "condition 2 solutions (729):" in out
     assert 0 < len(calls) <= 16
+
+
+@pytest.mark.parametrize("m,e", [(4, 4), (5, 122), (8, 86)])
+def test_reports_keep_solutions_as_codes_without_decoding(monkeypatch, m, e):
+    # the scan's codes go straight to the printed text: no element is
+    # rebuilt as a Poly on the verify -> report -> text path
+    field = build_field(m)
+    generic = (
+        tuple(_solutions_generic(field, e, -1)),
+        tuple(_solutions_generic(field, e, +1)),
+    )
+
+    def refuse(self, code):
+        raise AssertionError("Field.decode called")
+
+    monkeypatch.setattr(Field, "decode", refuse)
+    report = verify_optimal(field, e)
+    body = report.to_json_dict(field)
+    lines = _report_text_lines(report, field)
+    for solutions in (report.c2_solutions, report.c3_solutions):
+        assert all(type(code) is int for code in solutions)
+    assert (report.c2_solutions, report.c3_solutions) == generic
+    assert body["c2Solutions"] == [field.format_element(c) for c in generic[0]]
+    assert body["c3Solutions"] == [field.format_element(c) for c in generic[1]]
+    for line, codes in zip(lines[4:6], generic):
+        shown = ", ".join(field.format_element(c) for c in codes[:8])
+        more = " ..." if len(codes) > 8 else ""
+        assert line.endswith(f" solutions ({len(codes)}): {shown}{more}")
 
 
 def test_code_conjugate_exponent_exit_two(capsys):

@@ -51,8 +51,9 @@ def test_verify_optimal_80_72_4():
     assert (r.m, r.e, r.h) == (4, 14, 2)
     assert r.c1 and r.coset_ok
     assert r.gcd_value == 2
-    assert r.c2_solutions == (f4.zero,)
-    assert r.c3_solutions == (f4.one,)
+    # solutions are element codes: zero is code 0, one is 3^(m-1)
+    assert r.c2_solutions == (f4.encode(f4.zero),) == (0,)
+    assert r.c3_solutions == (f4.encode(f4.one),) == (27,)
     assert r.parameters == (80, 72, 4)
     # the report keeps no copy of the modulus; its JSON reads the field's
     assert "modulus" not in r._fields
@@ -82,10 +83,15 @@ def test_e_4_fails_exactly_the_second_condition():
     assert r.verdict == "not_optimal"
     assert r.c1 and r.coset_ok
     assert len(r.c2_solutions) == 3
-    assert r.c3_solutions == (f4.one,)
+    assert r.c3_solutions == (f4.encode(f4.one),)
     assert r.parameters is None
-    got = {f4.format_element(x) for x in r.c2_solutions}
-    assert got == {"0,0,0,0", "1,0,1,2", "2,0,2,1"}
+    got = [f4.format_element(x) for x in r.c2_solutions]
+    assert got == ["0,0,0,0", "1,0,1,2", "2,0,2,1"]  # ascending codes
+    assert [f4.decode(x) for x in r.c2_solutions] == [
+        f4.zero,
+        parse_poly("2x^3+x^2+1"),
+        parse_poly("x^3+2x^2+2"),
+    ]
 
 
 def test_odd_e_fails_the_parity_condition():
@@ -155,7 +161,7 @@ def test_table_and_generic_scans_agree_at_m4():
     # every e at m = 1..4; an odd e puts x = -1 into both lists
     for m in range(1, 5):
         field = build_field(m)
-        minus_one = -field.one
+        minus_one = field.encode(-field.one)
         for e in range(1, field.order):
             c2, c3 = _solutions_table(field, e)
             assert c2 == tuple(_solutions_generic(field, e, -1)), (m, e)
@@ -186,9 +192,7 @@ def _full_walk(field, e):
             elif lhs == (rhs + half) % n:
                 c3.append(exp[i])
         ie = (ie + emod) % n
-    c2.sort()
-    c3.sort()
-    return tuple(map(field.decode, c2)), tuple(map(field.decode, c3))
+    return tuple(sorted(c2)), tuple(sorted(c3))
 
 
 def _even_leaders(m):
@@ -381,7 +385,7 @@ def test_table_scan_matches_direct_arithmetic_sampled_at_m11():
     rng = random.Random(248)
     sample = [Poly([rng.randrange(3) for _ in range(11)]) for _ in range(300)]
     c2, c3 = _solutions_table(field, e)
-    assert (c2, c3) == ((field.zero,), (field.one,))
+    assert (c2, c3) == ((field.encode(field.zero),), (field.encode(field.one),))
     for sign, solutions in ((-1, c2), (+1, c3)):
 
         def solves(x):
@@ -389,10 +393,10 @@ def test_table_scan_matches_direct_arithmetic_sampled_at_m11():
             rhs = powmod(x, e, field.modulus) + field.one
             return lhs == (-rhs if sign > 0 else rhs)
 
-        for x in solutions:
-            assert solves(x)
+        for code in solutions:
+            assert solves(field.decode(code))
         for x in sample:
-            assert solves(x) == (x in solutions), x
+            assert solves(x) == (field.encode(x) in solutions), x
 
 
 def test_the_exponent_122_counterexample():

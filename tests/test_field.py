@@ -260,31 +260,66 @@ def test_encode_decode_round_trip_in_tuple_order():
 
 
 def test_decode_and_format_element_boundary_contract_at_m4():
-    # every code decodes to a reduced Poly whose text form is the code's
-    # padded digit string, constant term first
+    # every code decodes to a reduced Poly, and its text form is the
+    # code's padded digit string, constant term first
     for code, digits in enumerate(itertools.product(range(3), repeat=4)):
         a = f4.decode(code)
         assert isinstance(a, Poly)
         assert a.degree < 4
         assert a == Poly(digits)
-        assert f4.format_element(a) == ",".join(map(str, digits))
-    assert f4.format_element(f4.zero) == "0,0,0,0"
-    # solution lists come out in ascending code order; Poly's own order
-    # (degree first) would differ on some of them
+        assert f4.format_element(code) == ",".join(map(str, digits))
+    assert f4.format_element(f4.encode(f4.zero)) == "0,0,0,0"
+    # solution lists are ascending codes; Poly's own order (degree first)
+    # would list some of them differently
     reordered = 0
     for e in range(2, 80, 2):
-        for sols in _solutions_table(f4, e):
-            codes = [f4.encode(x) for x in sols]
-            assert codes == sorted(set(codes)), e
-            reordered += tuple(sorted(sols)) != sols
+        for codes in _solutions_table(f4, e):
+            assert list(codes) == sorted(set(codes)), e
+            sols = [f4.decode(code) for code in codes]
+            reordered += sorted(sols) != sols
     assert reordered
+
+
+def _base3_text(code, m):
+    # the code's m base-3 digits, most significant first, comma-joined
+    digits = []
+    for _ in range(m):
+        code, digit = divmod(code, 3)
+        digits.append(str(digit))
+    return ",".join(reversed(digits))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 6])
+def test_format_element_is_the_code_in_base_3(m):
+    # an odd m splits a code into halves of unequal width, and m = 1
+    # leaves the low half empty
+    field = build_field(m)
+    for code in range(3**m):
+        assert field.format_element(code) == _base3_text(code, m)
+
+
+residues = st.integers(1, MAX_DEGREE).flatmap(
+    lambda m: st.lists(st.integers(0, 2), min_size=m, max_size=m)
+)
+
+
+@settings(max_examples=60)
+@given(residues)
+def test_format_element_of_encode_lists_the_coefficients(coeffs):
+    field = build_field(len(coeffs))
+    code = field.encode(Poly(coeffs))
+    assert field.format_element(code) == ",".join(map(str, coeffs))
+    assert code == int("".join(map(str, coeffs)), 3)
 
 
 def test_log_exp_round_trip():
     # exp is a bijection onto the nonzero codes, so every nonzero element
-    # has exactly one logarithm and the test-side inverse undoes exp
+    # has exactly one logarithm and the test-side inverse undoes exp; each
+    # entry decodes to the power of the generator of a field without tables
     for m in range(1, 9):
         field = build_field(m)
+        plain = Field(m, field.modulus)
+        alpha, power = plain.exp_of_generator(1), plain.one
         exp, _ = field.tables()
         assert len(exp) == field.order
         assert sorted(exp) == list(range(1, 3**m)), m
@@ -292,7 +327,9 @@ def test_log_exp_round_trip():
         assert log[field.encode(field.zero)] == ZECH_ZERO
         for i in range(field.order):
             assert log[exp[i]] == i
-            assert field.exp_of_generator(i) == field.decode(exp[i])
+            assert field.decode(exp[i]) == power
+            power = power * alpha % plain.modulus
+        assert power == plain.one and plain._exp is None
         assert log[field.encode(field.one)] == 0
         assert log[field.encode(Poly.x() % field.modulus)] == 1 % field.order
 
@@ -451,7 +488,8 @@ def test_the_table_cap_is_answered_without_building_tables():
 
 def test_minus_one_is_half_order_power():
     assert f4.exp_of_generator(f4.order // 2) == -f4.one
-    assert f4.format_element(-f4.one) == "2,0,0,0"
+    assert f4.tables()[0][f4.order // 2] == f4.encode(-f4.one)
+    assert f4.format_element(f4.encode(-f4.one)) == "2,0,0,0"
 
 
 @settings(max_examples=25)
