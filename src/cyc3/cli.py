@@ -27,7 +27,7 @@ import sys
 import time
 
 from . import __version__
-from .conditions import ConditionReport, verify_family, verify_optimal
+from .conditions import FAMILIES, ConditionReport, verify_family, verify_optimal
 from .cosets import coset, cosets_meeting, minimal_polynomial
 from .field import build_field
 from .gf3poly import PolyParseError, factor, parse_poly, prime_factors
@@ -519,11 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify a whole exponent family",
         formats=("text", "json", "csv-row"),
     )
-    p.add_argument(
-        "--name",
-        required=True,
-        choices=["open-problem", "concl-A", "concl-B", "concl-C"],
-    )
+    p.add_argument("--name", required=True, choices=FAMILIES)
     p.add_argument("--m-list", type=_parse_m_list, required=True)
 
     p = add("mindist", _cmd_mindist, "brute-force search for weight <= 3")
@@ -578,13 +574,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
-    try:
+    try:  # an --out FILE that cannot be written is a usage error too
         code, payload, text_lines = args.func(args)
+        _emit(args, payload, text_lines, time.perf_counter() - t0)
     except PolyParseError as exc:
         print(f"error: bad polynomial: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:  # ConjugateExponentError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(args, payload, text_lines, time.perf_counter() - t0)
     return code

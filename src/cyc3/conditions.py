@@ -68,6 +68,9 @@ from .cosets import coset
 from .field import Field, build_field
 from .gf3poly import powmod
 
+# the exponent families `family_instances` lists, in CLI order
+FAMILIES = ("open-problem", "concl-A", "concl-B", "concl-C")
+
 # Readings of the ambiguous constant in family C, as (tag, value-for-m).
 FAMILY_C_READINGS = (
     ("(3^m-1)/2", lambda m: (3**m - 1) // 2),
@@ -270,7 +273,7 @@ def verify_optimal(field: Field, e: int, h: int | None = None) -> ConditionRepor
 
 
 class FamilyInstance(NamedTuple):
-    family: str  # open-problem | concl-A | concl-B | concl-C
+    family: str  # one of FAMILIES
     m: int
     h: int
     e: int
@@ -313,7 +316,7 @@ def family_instances(name: str, ms: list[int]) -> list[FamilyInstance]:
         if name == "open-problem":
             h, e = open_problem_exponent(m)
             out.append(FamilyInstance("open-problem", m, h, e))
-        elif name in ("concl-A", "concl-B", "concl-C"):
+        elif name in FAMILIES:
             out.extend(
                 inst
                 for inst in conclusion_family_instances(m)

@@ -1,18 +1,20 @@
 """Exact verification of the symbolic identities behind the optimality
 conditions for the exponents e = 3^h + 5.
 
-Both equation conditions reduce, for such e, to showing that a field element
-theta satisfying the equation would obey theta^(3^h) = num/den for a fixed
-pair of quartic/quintic polynomials.  Applying the map again and clearing
-denominators gives x^k*G - F = 0, for composed polynomials F, G of degree
-25 and 24 (difference route) or 16 and 16 (sum route).  The four
-factorization checks are the 2x2 grid {difference, sum} x {x, x^9}, one row
-each of _FACTORIZATIONS: k = 1 when "theta is a fixed point" (2h = m) and
-k = 9 when "theta^(3^(2h)) = theta^9" (2h = m + 2).  Each left-hand side
-must factor into a specific product of small irreducibles; the expected
-products live here as literal fixtures, kept apart from anything the
-engine computes, so a fixture slip shows up as a fixture-vs-engine diff
-rather than vanishing silently.
+The paper's reduction is derived once, by reduction_pair, whose docstring
+states the lemma: every solution theta of either condition equation, bar
+the roots of a gcd the builder divides out, obeys
+theta^(3^h) = num(theta)/den(theta) for a fixed GF(3) pair (num, den).
+Applying x -> x^(3^h) again and clearing denominators gives
+x^(3^t)*G - F = 0 with t = 2h mod m.  The four factorization checks are
+the 2x2 grid {difference, sum} x {t = 0, t = 2}, one row of
+_FACTORIZATIONS each, keyed by (sign of the equation, t): t = 0 when
+"theta is a fixed point" (2h = m) and t = 2 when
+"theta^(3^(2h)) = theta^9" (2h = m + 2).  Each left-hand side must factor
+into a specific product of small irreducibles; the expected products live
+here as literal fixtures, kept apart from anything the engine computes, so
+a fixture slip shows up as a fixture-vs-engine diff rather than vanishing
+silently.
 
 Every check is an exact ring statement: lhs equals unit times the monic
 fixture product, every fixture factor is irreducible, and the in-house
@@ -30,6 +32,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple
 
+from .field import LOG_TABLE_MAX_DEGREE
 from .gf3poly import (
     Factorization,
     Poly,
@@ -42,23 +45,31 @@ from .gf3poly import (
     roots_in_extension,
 )
 
-# extensions over which the factor/subfield bridge is exercised
-BRIDGE_DEGREES = (4, 6, 8, 10, 12)
+# extensions over which the factor/subfield bridge is exercised: every even
+# m from 4 up to the Zech-table cap
+BRIDGE_DEGREES = tuple(range(4, LOG_TABLE_MAX_DEGREE + 1, 2))
 
 
-def difference_polys() -> tuple[Poly, Poly]:
-    """Numerator and denominator of the theta^(3^h) map on solutions of the
-    difference equation (x+1)^e - x^e - 1 = 0."""
-    f = parse_poly("x^5-x^4+x^3+x^2-x")
-    g = parse_poly("x^4-x^3-x^2+x-1")
-    return f, g
+def reduction_pair(sign: int) -> tuple[Poly, Poly]:
+    """(num, den) of the paper's reduction for e = 3^h + 5 on the equation
+    (x+1)^e + sign*(x^e + 1) = 0: sign = -1 gives the difference equation,
+    sign = +1 the sum equation.
 
-
-def sum_polys() -> tuple[Poly, Poly]:
-    """Same for the sum equation (x+1)^e + x^e + 1 = 0."""
-    k = parse_poly("x^4+x^2-x+1")
-    l = parse_poly("x^4-x^3+x^2+1")
-    return k, l
+    Put y = x^(3^h), A = (x+1)^5 and B = x^5.  Then (x+1)^e = (y+1)*A and
+    x^e = y*B, so the equation reads y*(A + sign*B) = -(A + sign).  The
+    pair returned is that one divided by its gcd, scaled so that den is
+    monic.  Every solution x is a root of the divided-out gcd or satisfies
+    y*den(x) = num(x), where den(x) != 0 as num and den are coprime.  Both
+    have GF(3) coefficients, so applying x -> x^(3^h) again gives
+    x^(3^t)*G(x) = F(x), where t = 2h mod m, d = max(deg num, deg den),
+    F = cleared_compose(num, num, den, d) and
+    G = cleared_compose(den, num, den, d).  The paper's two cases are t = 0
+    (2h = m) and t = 2 (2h = m + 2)."""
+    a, b = (Poly.x() + Poly.one()) ** 5, Poly.x() ** 5
+    num, den = -(a + Poly.one() * sign), a + b * sign
+    common = poly_gcd(num, den)
+    unit, den = (den // common).monic()
+    return num // common * unit, den
 
 
 def cleared_compose(outer: Poly, num: Poly, den: Poly, degree: int) -> Poly:
@@ -115,19 +126,19 @@ NINTH_POWER_SUM = (
 # its roots are the primitive 14th roots of unity
 SEVENTH_ROOT_FACTOR = "x^6-x^5+x^4-x^3+x^2-x+1"
 
-# One row per factorization check: id, (num, den) pair, clearing degree,
-# power k of x in x^k*G - F, fixture, and polynomials that must be pairwise
-# coprime.  The two quintics the ninth-power difference argument derives
-# must be coprime to each other and to the degree-6 factor, so no root
-# survives the combined equations.
+# One row per factorization check: id, sign of the equation (as in
+# reduction_pair), t in x^(3^t)*G - F, fixture, and polynomials that must be
+# pairwise coprime.  The two quintics the ninth-power difference argument
+# derives must be coprime to each other and to the degree-6 factor, so no
+# root survives the combined equations.
 _FACTORIZATIONS = (
-    ("difference-fixed-point", difference_polys, 5, 1, FIXED_POINT_DIFFERENCE, ()),
+    ("difference-fixed-point", -1, 0, FIXED_POINT_DIFFERENCE, ()),
     (
-        "difference-ninth-power", difference_polys, 5, 9, NINTH_POWER_DIFFERENCE,
+        "difference-ninth-power", -1, 2, NINTH_POWER_DIFFERENCE,
         ("x^5-x^2-1", "x^5+x^3-x^2-1", SEVENTH_ROOT_FACTOR),
     ),
-    ("sum-fixed-point", sum_polys, 4, 1, FIXED_POINT_SUM, ()),
-    ("sum-ninth-power", sum_polys, 4, 9, NINTH_POWER_SUM, ()),
+    ("sum-fixed-point", 1, 0, FIXED_POINT_SUM, ()),
+    ("sum-ninth-power", 1, 2, NINTH_POWER_SUM, ()),
 )
 
 
@@ -207,8 +218,8 @@ def _step_check(check_id: str, lhs: Poly, rhs: Poly) -> IdentityCheck:
 
 def verify_steps() -> list[IdentityCheck]:
     """The five inline proof computations, in registry order."""
-    f, g = difference_polys()
-    k, l = sum_polys()
+    f, g = reduction_pair(-1)
+    k, l = reduction_pair(1)
     x = Poly.x()
     p6 = parse_poly(SEVENTH_ROOT_FACTOR)
     minus_one = Poly((2,))
@@ -236,9 +247,10 @@ def verify_steps() -> list[IdentityCheck]:
 def run_all() -> list[IdentityCheck]:
     """All nine checks: the four factorizations, then the step registry."""
     checks = []
-    for check_id, pair, degree, k, fixture, coprime in _FACTORIZATIONS:
-        num, den = pair()
-        lhs = Poly.x() ** k * cleared_compose(den, num, den, degree)
+    for check_id, sign, t, fixture, coprime in _FACTORIZATIONS:
+        num, den = reduction_pair(sign)
+        degree = max(num.degree, den.degree)
+        lhs = Poly.x() ** 3**t * cleared_compose(den, num, den, degree)
         lhs -= cleared_compose(num, num, den, degree)
         check = factorization_check(check_id, lhs, fixture)
         if check.passed:

@@ -554,6 +554,32 @@ def test_out_writes_file(tmp_path, capsys):
     assert json.loads(target.read_text())["verdict"] == "optimal"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--m", "4", "--e", "14", "--format", "json"],
+        ["family", "--name", "open-problem", "--m-list", "4,6"],
+    ],
+    ids=["verify-json", "family"],
+)
+def test_unwritable_out_is_a_usage_error(tmp_path, argv):
+    # exit 1 would read as a non-optimal verdict; a failed write is exit 2
+    target = tmp_path / "missing" / "report.out"
+    src = str(Path(cyc3.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "cyc3", *argv, "--out", str(target)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and str(target) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not target.exists()
+
+
 def test_json_runs_are_byte_identical(capsys):
     args = ["family", "--name", "open-problem", "--m-list", "4,6", "--format", "json"]
     main(args)

@@ -175,9 +175,17 @@ def test_minimal_polynomial_of_14():
 
 
 def test_minimal_polynomial_degree_is_coset_size():
-    field = build_field(4)
-    for i in (0, 1, 10, 14, 40):
-        assert minimal_polynomial(field, i).degree == coset(i, 3, 4).size
+    # minimal_polynomial takes one factor per coset() member, so the size is
+    # counted apart from coset(): the conjugates alpha^i, alpha^(3i), ...
+    # until cubing in the field returns to alpha^i
+    for m, powers in ((4, (0, 1, 10, 14, 40)), (6, (28, 86, 91, 364))):
+        field = build_field(m)
+        for i in powers:
+            a = powmod(Poly.x(), i, field.modulus)
+            b, orbit = powmod(a, 3, field.modulus), 1
+            while b != a:
+                b, orbit = powmod(b, 3, field.modulus), orbit + 1
+            assert minimal_polynomial(field, i).degree == orbit, (m, i)
 
 
 def test_minimal_polynomial_annihilates_the_power():

@@ -4,16 +4,17 @@ and the substitution steps that link them."""
 import pytest
 
 from cyc3 import identities
-from cyc3.gf3poly import Poly, parse_poly, poly_gcd, roots_in_extension
+from cyc3.conditions import _solutions_table
+from cyc3.field import build_field
+from cyc3.gf3poly import Poly, parse_poly, poly_gcd, powmod, roots_in_extension
 from cyc3.identities import (
     FIXED_POINT_DIFFERENCE,
     NINTH_POWER_SUM,
     SEVENTH_ROOT_FACTOR,
     cleared_compose,
-    difference_polys,
     factorization_check,
+    reduction_pair,
     run_all,
-    sum_polys,
     verify_steps,
 )
 
@@ -52,7 +53,7 @@ def test_run_all_is_deterministic():
 
 
 def test_difference_pair_shapes():
-    f, g = difference_polys()
+    f, g = reduction_pair(-1)
     assert f == parse_poly("x^5-x^4+x^3+x^2-x")
     assert g == parse_poly("x^4-x^3-x^2+x-1")
     # clearing denominators of f(x)/g(x) composed with itself at height 5
@@ -63,7 +64,7 @@ def test_difference_pair_shapes():
 
 
 def test_sum_pair_shapes():
-    k, l = sum_polys()
+    k, l = reduction_pair(1)
     assert k == parse_poly("x^4+x^2-x+1")
     assert l == parse_poly("x^4-x^3+x^2+1")
     K = cleared_compose(k, k, l, 4)
@@ -73,14 +74,14 @@ def test_sum_pair_shapes():
 
 
 def test_cleared_compose_rejects_short_degree():
-    f, g = difference_polys()
+    f, g = reduction_pair(-1)
     with pytest.raises(ValueError):
         cleared_compose(f, f, g, 4)
 
 
 def test_cleared_compose_homogenization_degree():
     # raising the clearing degree multiplies by the denominator
-    f, g = difference_polys()
+    f, g = reduction_pair(-1)
     assert cleared_compose(f, f, g, 6) == cleared_compose(f, f, g, 5) * g
 
 
@@ -105,7 +106,7 @@ def test_sum_fixed_point_has_quintuple_root_at_one():
     assert check.passed
     assert check.unit == 2
     assert check.lhs.degree == 17
-    k, l = sum_polys()
+    k, l = reduction_pair(1)
     assert X * cleared_compose(l, k, l, 4) - cleared_compose(k, k, l, 4) == check.lhs
     # (x - 1)^5 carries multiplicity five
     assert ("x-1", 5) in [
@@ -131,8 +132,8 @@ def test_coprimality_failure_fails_only_its_check(monkeypatch):
     """A row whose coprime polynomials share a root must come back failed
     with a shared-root detail, while every other check still passes."""
     rows = list(identities._FACTORIZATIONS)
-    check_id, pair, degree, k, fixture, _ = rows[2]
-    rows[2] = (check_id, pair, degree, k, fixture, ("x^2+1", "x^4-1", "x^3-x+1"))
+    check_id, sign, t, fixture, _ = rows[2]
+    rows[2] = (check_id, sign, t, fixture, ("x^2+1", "x^4-1", "x^3-x+1"))
     monkeypatch.setattr(identities, "_FACTORIZATIONS", tuple(rows))
     checks = run_all()
     assert [c.check_id for c in checks] == EXPECTED_IDS
@@ -167,21 +168,21 @@ def test_steps_pass_individually():
 
 
 def test_direct_substitution_collapses_to_cube():
-    f, g = difference_polys()
+    f, g = reduction_pair(-1)
     assert X * g - f == X ** 3
-    k, l = sum_polys()
+    k, l = reduction_pair(1)
     assert X * l - k == (X - ONE) ** 5
 
 
 def test_cube_substitution_yields_eighth_power_difference():
-    k, l = sum_polys()
+    k, l = reduction_pair(1)
     assert (X ** 3 * l - k) * (X + ONE) == X ** 8 - ONE
 
 
 def test_factorization_check_detects_tampered_lhs():
     """The checker must fail when the polynomial is off by one; a checker
     that cannot fail certifies nothing."""
-    f, g = difference_polys()
+    f, g = reduction_pair(-1)
     lhs = X * cleared_compose(g, f, g, 5) - cleared_compose(f, f, g, 5)
     good = factorization_check("control-good", lhs, FIXED_POINT_DIFFERENCE)
     assert good.passed
@@ -190,7 +191,7 @@ def test_factorization_check_detects_tampered_lhs():
 
 
 def test_factorization_check_detects_tampered_fixture():
-    f, g = difference_polys()
+    f, g = reduction_pair(-1)
     lhs = X * cleared_compose(g, f, g, 5) - cleared_compose(f, f, g, 5)
     tampered = tuple(
         (poly, mult + 1 if poly == "x+1" else mult)
@@ -206,3 +207,48 @@ def test_bridge_degrees_separate_factors():
         p = parse_poly(poly_text)
         for m in (4, 6, 8, 10, 12):
             assert roots_in_extension(p, m) == (m % p.degree == 0)
+
+
+def _evaluate(poly, x, modulus):
+    """poly(x) at a field residue x, by Horner's rule."""
+    acc = Poly()
+    for c in reversed(poly.coeffs):
+        acc = (acc * x + Poly((c,))) % modulus
+    return acc
+
+
+@pytest.mark.parametrize("m", range(4, 9))
+def test_reduction_lemma_holds_at_every_table_solution(m):
+    """Every solution the table scan lists at e = 3^h + 5, bar the roots of
+    the gcd reduction_pair divides out, satisfies y*den(x) = num(x) with
+    y = x^(3^h), and x^(3^t)*G(x) = F(x) with t = 2h mod m.  At t = 0 and
+    t = 2, x^(3^t)*G - F is the left-hand side of the paper's row, so every
+    such solution is a root of it."""
+    field = build_field(m)
+    mod = field.modulus
+    a, b = (X + ONE) ** 5, X ** 5
+    rows = {
+        (sign, t): check.lhs
+        for (_, sign, t, _, _), check in zip(identities._FACTORIZATIONS, run_all())
+    }
+    for h in range(m):
+        e = 3**h + 5
+        if e >= field.order:
+            break
+        t = 2 * h % m
+        for sign, solutions in zip((-1, 1), _solutions_table(field, e)):
+            num, den = reduction_pair(sign)
+            common = poly_gcd(-(a + ONE * sign), a + b * sign)
+            d = max(num.degree, den.degree)
+            F = cleared_compose(num, num, den, d)
+            G = cleared_compose(den, num, den, d)
+            if (sign, t) in rows:
+                assert X ** 3**t * G - F == rows[sign, t]
+            for code in solutions:
+                x = field.decode(code)
+                if not _evaluate(common, x, mod):
+                    continue
+                y = powmod(x, 3**h, mod)
+                assert y * _evaluate(den, x, mod) % mod == _evaluate(num, x, mod)
+                lhs = powmod(x, 3**t, mod) * _evaluate(G, x, mod) % mod
+                assert lhs == _evaluate(F, x, mod), (m, h, sign, code)
