@@ -97,7 +97,9 @@ def _wrap(command: str, body: dict) -> dict:
 def _cmd_field_info(args):
     field = build_field(args.m)
     primes = prime_factors(field.order)
-    generator = field.format_element(field.encode(field.exp_of_generator(1)))
+    # the text form from the generator's digits: format_element would build
+    # the half-code table (tens of MiB at m = 20) for this one element
+    generator = ",".join(map(str, field.gen))
     log_tables = field.has_tables
     payload = _wrap(
         "field-info",

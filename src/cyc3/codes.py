@@ -21,6 +21,16 @@ in n.  For each j it solves for the unique candidate third
 column and accepts only hits with index k > j, with the third scalar
 normalized to 1; the candidate lookup runs in Zech-logarithm space, and a
 hit is confirmed by its syndrome, from powers read off the exp table.
+
+Before that lookup a residue filter skips most j.  Past the weight-2 test
+e is even, so (n/2)*e = 0 (mod n); reducing the second-coordinate equation
+mod n/2 then removes the scalars' logarithms (0 or n/2), and a hit at
+scalars (1, 1) or (2, 2) needs zech[j]*e = zech[ej] (mod n/2), one at (1, 2)
+or (2, 1) needs zech[j + n/2]*e = zech[ej + n/2] (mod n/2), with ej = j*e
+mod n.  A j failing both has no hit; one passing either goes on to the
+exact four-pair test, which alone decides a hit, so the filter changes no
+verdict and no witness.  It is derived from the column equations, not from
+the optimality conditions, so the search stays an independent route.
 """
 
 from __future__ import annotations
@@ -115,6 +125,17 @@ def min_weight_leq3_search(field: Field, e: int) -> WeightWitness:
     has a cyclic shift that is nonzero at position 0, and scanning the
     pairs (0, j) covers all of them.  An m without Zech tables is refused
     (ValueError) by field.tables().
+
+    The filter, per scalar pair (lam1, lam2) = (alpha^o1, alpha^o2) with
+    o1, o2 in {0, h}, h = n/2 and e even, so that h*e = 0 (mod n): the hit
+    test is k*e = o1 + zech[d2] + h (mod n) with k = o1 + z + h and
+    d2 = ej + o2 - o1, and mod h both sides lose o1 and h, leaving
+    z*e = zech[d2] (mod h).
+      (1, 1): z = zech[j],     d2 = ej;       zech[j]*e = zech[ej].
+      (2, 2): z = zech[j],     d2 = ej;       the same test.
+      (1, 2): z = zech[j + h], d2 = ej + h;   zech[j + h]*e = zech[ej + h].
+      (2, 1): z = zech[j + h], d2 = ej - h;   the same test, as ej - h and
+              ej + h agree mod n.
     """
     field.check_exponent(e)
     n = field.order
@@ -148,12 +169,20 @@ def min_weight_leq3_search(field: Field, e: int) -> WeightWitness:
     # is j when lam1 = lam2 and j + n/2 otherwise.  As 1 <= j <= n // 3,
     # neither is n/2, so the first coordinates never cancel, and the two
     # logarithms are read once per j.
+    #
+    # Past the weight-2 test e is even, so half*e = 0 (mod n) and the
+    # residue filter of the docstring holds; zech[ej - half] reads the
+    # entry at ej + half mod n through negative indexing.
     ej = 0
     for j in range(1, n // 3 + 1):
         ej += emod
         if ej >= n:
             ej -= n
         same, other = zech[j], zech[j + half]
+        if (same * emod - zech[ej]) % half and (
+            (other * emod - zech[ej - half]) % half
+        ):
+            continue  # no hit at any (lam1, lam2)
         # (lam1, lam2) = (1, 1), (1, 2), (2, 1), (2, 2)
         for o1, o2, z1 in (
             (0, 0, same), (0, half, other), (half, 0, other), (half, half, same)

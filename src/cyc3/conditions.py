@@ -5,8 +5,9 @@ The decision procedure evaluates, for a given (m, e):
   1. e is even;
   2. the coset facts: e is not conjugate to 1, and its coset has the full
      size m.  They give k = n - 2m with no polynomial built:
-     minimal_polynomial is a product of one linear factor per coset member,
-     so a full coset gives deg m_1 m_e = 2m.  The test
+     minimal_polynomial is a product of one linear factor per conjugate,
+     which it finds by cubing in the field rather than from coset(), so a
+     full coset gives deg m_1 m_e = 2m by a route apart.  The test
      test_built_dimension_matches_the_coset_facts holds build_code to it;
   3. (x+1)^e - x^e - 1 = 0 has 0 as its only solution in GF(3^m);
   4. (x+1)^e + x^e + 1 = 0 has 1 as its only solution.

@@ -124,18 +124,24 @@ def coset_size_law_check(p: int, m: int) -> CosetSizeReport:
 def minimal_polynomial(field: Field, i: int) -> Poly:
     """Monic minimal polynomial of generator**i over GF(3).
 
-    Computed as the product of (x - conjugate) over the coset of i, with
-    coefficients verified to land in the base field.
+    Computed as the product of (x - conjugate) over the Frobenius orbit of
+    generator**i, found by cubing it until it returns, with coefficients
+    verified to land in the base field.  The orbit is walked in the field,
+    not read from coset(), so the degree (and build_code's conjugacy test
+    and dimension) is a route independent of the coset facts.
     """
     # product over conjugates, with coefficients in the field
     mod = field.modulus
     poly = [field.one]
-    for j in coset(i, 3, field.m).members:
-        root = field.exp_of_generator(j)
+    first = root = field.exp_of_generator(i)
+    while True:
         nxt = [field.zero] + poly  # x * poly
         for d, coeff in enumerate(poly):
             nxt[d] -= coeff * root % mod
         poly = nxt
+        root = root * root % mod * root % mod  # the next conjugate, root^3
+        if root == first:
+            break
     base_coeffs = []
     for coeff in poly:
         if coeff.degree > 0:

@@ -77,8 +77,9 @@ class Field:
         self.zero = Poly.zero()
         self.one = Poly.one()
         self._alpha = Poly.x() % modulus  # the constant -1 when m = 1
-        # the generator's padded coefficient tuple, as the benchmark's
-        # field summary reads it; exp_of_generator(1) is the element
+        # the generator's padded coefficient tuple, which field-info prints
+        # and the benchmark's field summary reads; exp_of_generator(1) is
+        # the element
         self.gen = self._alpha.coeffs + (0,) * (m - len(self._alpha.coeffs))
         self.has_tables = m <= LOG_TABLE_MAX_DEGREE
         self._exp: array | None = None

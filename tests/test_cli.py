@@ -162,6 +162,26 @@ def test_field_info_m20_within_budget(capsys):
     assert d["logTables"] is False
 
 
+@pytest.mark.parametrize("m", [1, 12, 13, 20])
+def test_field_info_prints_the_generator_without_the_half_code_table(
+    capsys, monkeypatch, m
+):
+    # a data descriptor shadows any table an earlier test cached
+    def refuse(self):
+        raise AssertionError("field-info built the half-code table")
+
+    monkeypatch.setattr(Field, "_halves", property(refuse))
+    code, out, _ = run_cli(capsys, "field-info", "--m", str(m), "--format", "json")
+    assert code == 0
+    monkeypatch.undo()
+    field = build_field(m)
+    # the text format_element gives the generator's code; at m = 20 that
+    # builds a 40 MiB table, and the test above pins the literal instead
+    if m <= 13:
+        alpha = field.encode(field.exp_of_generator(1))
+        assert json.loads(out)["generator"] == field.format_element(alpha)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,5 +1,7 @@
 """Code construction, parity checks, low-weight search, sphere packing."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -235,6 +237,55 @@ def test_search_matches_brute_force_over_all_triples(m):
             assert s1 == field.zero and s2 == field.zero
         clean += w.verdict == "no_word_below_4"
     assert clean > 0  # the full scans are exercised, not only early exits
+
+
+def _unfiltered_search(field, e):
+    """The weight search without its residue filter: the four-pair block
+    runs at every j <= n // 3.  Reference for the filtered search."""
+    n = field.order
+    _, zech = field.tables()
+    half = n // 2
+    emod = e % n
+    if emod * half % n == half:
+        return "found", (0, half), (1, 1)
+    ej = 0
+    for j in range(1, n // 3 + 1):
+        ej = (ej + emod) % n
+        same, other = zech[j], zech[j + half]
+        for o1, o2, z1 in (
+            (0, 0, same), (0, half, other), (half, 0, other), (half, half, same)
+        ):
+            k = (o1 + z1 + half) % n
+            if k <= j:
+                continue
+            d2 = (ej + o2 - o1) % n
+            if d2 == half:
+                continue
+            if k * emod % n == (o1 + zech[d2] + half) % n:
+                lam1 = 1 if o1 == 0 else 2
+                lam2 = 1 if o2 == 0 else 2
+                return "found", (0, j, k), (1, lam1 * lam2 % 3, lam1)
+    return "no_word_below_4", None, None
+
+
+def test_residue_filter_keeps_every_verdict_and_first_witness():
+    # every exponent at m = 2..6, a seeded sample at m = 7..9; the filter
+    # may only skip j that the four-pair block would reject
+    cases = [(m, range(1, build_field(m).order)) for m in range(2, 7)]
+    for m, size in ((7, 400), (8, 150), (9, 40)):
+        exponents = range(1, build_field(m).order)
+        cases.append((m, random.Random(m).sample(exponents, size)))
+    patterns = set()
+    for m, exponents in cases:
+        field = build_field(m)
+        for e in exponents:
+            w = min_weight_leq3_search(field, e)
+            assert (w.verdict, w.positions, w.values) == _unfiltered_search(
+                field, e
+            ), (m, e)
+            patterns.add(w.values)
+    # first witnesses of all four scalar pairs (lam1, lam2) are covered
+    assert {(1, 1, 1), (1, 2, 1), (1, 2, 2), (1, 1, 2)} <= patterns
 
 
 def test_hamming_ball_values():

@@ -477,14 +477,15 @@ def test_conditions_biconditional_with_weight_search_at_m6_m8(m, leaders, optima
 
 @pytest.mark.parametrize(
     "m,full_count,sample,optimal",
-    [(9, 1092, 100, 64), (10, 2928, 40, 17), (11, 8052, 12, 10)],
+    [(9, 1092, 100, 64), (10, 2928, 120, 44), (11, 8052, 36, 33)],
 )
 def test_conditions_biconditional_with_weight_search_sampled(
     m, full_count, sample, optimal
 ):
     """The same biconditional on a seeded sample of the full-size even
-    coset leaders at m = 9, 10 and 11.  At m = 9 all 1,092 agree (649
-    optimal) but take about 12 s; the samples take about a second each."""
+    coset leaders at m = 9, 10 and 11: 100, 120 and 36 leaders.  At m = 9
+    all 1,092 agree (649 optimal) in about 2 s; each sample takes under
+    a second."""
     field = build_field(m)
     full = sorted(
         c.leader

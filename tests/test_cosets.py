@@ -175,9 +175,9 @@ def test_minimal_polynomial_of_14():
 
 
 def test_minimal_polynomial_degree_is_coset_size():
-    # minimal_polynomial takes one factor per coset() member, so the size is
-    # counted apart from coset(): the conjugates alpha^i, alpha^(3i), ...
-    # until cubing in the field returns to alpha^i
+    # minimal_polynomial takes one factor per conjugate alpha^i, alpha^(3i),
+    # ..., found by cubing in the field; the degree is that orbit's length
+    # (counted here with powmod) and agrees with coset(), a route apart
     for m, powers in ((4, (0, 1, 10, 14, 40)), (6, (28, 86, 91, 364))):
         field = build_field(m)
         for i in powers:
@@ -185,7 +185,24 @@ def test_minimal_polynomial_degree_is_coset_size():
             b, orbit = powmod(a, 3, field.modulus), 1
             while b != a:
                 b, orbit = powmod(b, 3, field.modulus), orbit + 1
-            assert minimal_polynomial(field, i).degree == orbit, (m, i)
+            degree = minimal_polynomial(field, i).degree
+            assert degree == orbit == coset(i, 3, m).size, (m, i)
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_minimal_polynomial_does_not_read_coset_members(monkeypatch, m):
+    # a coset() listing wrong members must not move the minimal polynomial,
+    # so build_code's conjugacy test and dimension stay apart from the
+    # coset facts that verify reports
+    field = build_field(m)
+    expected = [minimal_polynomial(field, i) for i in range(field.order)]
+
+    def wrong_members(j, p, m):
+        c = coset(j, p, m)
+        return c._replace(members=tuple((x + 1) % (p**m - 1) for x in c.members))
+
+    monkeypatch.setattr(cosets, "coset", wrong_members)
+    assert [minimal_polynomial(field, i) for i in range(field.order)] == expected
 
 
 def test_minimal_polynomial_annihilates_the_power():
