@@ -26,17 +26,11 @@ import json
 import sys
 import time
 
-from . import __version__
+from . import __version__, conditions
 from .conditions import FAMILIES, ConditionReport, verify_family, verify_optimal
 from .cosets import coset, cosets_meeting, minimal_polynomial
 from .field import build_field
-from .gf3poly import PolyParseError, factor, parse_poly, prime_factors
-
-# the most orbit points one `search` may test.  On a 2-core host the whole
-# group at m = 10 (8.9 M points) took 1.9-3.0 s, at m = 11 (65 M)
-# 14.5-19.8 s, and 137 M points at m = 12 took 49 s; 20 M keeps a search
-# well inside the 20 s budget with room for the host's drift
-SEARCH_MAX_ORBIT_POINTS = 20_000_000
+from .gf3poly import factor, parse_poly, prime_factors
 
 
 def _bool_text(b: bool) -> str:
@@ -408,16 +402,16 @@ def _cmd_search(args):
     # the walk lists each class met, to be scanned over about n/(2m) orbit
     # leaders, and stops at the first past the budget.  No even e is
     # conjugate to 1: n is even, so e's coset holds only even numbers
-    per_class = n // (2 * args.m) + 1
+    per_class = conditions.orbit_points(args.m)
     leaders = []
     for cos in cosets_meeting(range(lo + lo % 2, hi + 1, 2), 3, args.m):
         leaders.append(cos.leader)
-        if len(leaders) * per_class > SEARCH_MAX_ORBIT_POINTS:
+        if len(leaders) * per_class > conditions.MAX_ORBIT_POINTS:
             raise ValueError(
                 f"search over e in [{lo}, {hi}] at m={args.m} would test at "
                 f"least {len(leaders) * per_class:,} orbit points ({len(leaders):,} "
                 f"exponent classes of {per_class:,}), past the budget of "
-                f"{SEARCH_MAX_ORBIT_POINTS:,}; give a narrower --e-range A..B"
+                f"{conditions.MAX_ORBIT_POINTS:,}; give a narrower --e-range A..B"
             )
     optimal = []
     for e in leaders:
@@ -532,7 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--poly",
         required=True,
-        help="polynomial, e.g. 'x^6-x^5+x^3+1' or '1,0,0,1,0,2,1'",
+        help="polynomial, e.g. 'x^6-x^5+x^3+1' or '1,0,0,1,0,2,1'; give "
+        "text with a leading minus as --poly=TEXT, e.g. --poly=-x^2-1",
     )
 
     add("identities", _cmd_identities, "run the symbolic identity suite")
@@ -579,10 +574,7 @@ def main(argv=None) -> int:
     try:  # an --out FILE that cannot be written is a usage error too
         code, payload, text_lines = args.func(args)
         _emit(args, payload, text_lines, time.perf_counter() - t0)
-    except PolyParseError as exc:
-        print(f"error: bad polynomial: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:  # ConjugateExponentError included
+    except (ValueError, OSError) as exc:  # PolyParseError, ConjugateExponentError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

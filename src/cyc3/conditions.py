@@ -69,6 +69,13 @@ from .cosets import coset
 from .field import Field, build_field
 from .gf3poly import powmod
 
+# the most orbit points one `search` or `family` run may test, read at call
+# time.  On a 2-core host the whole group at m = 10 (8.9 M points) took
+# 1.9-3.0 s, at m = 11 (65 M) 14.5-19.8 s, and 137 M points at m = 12 took
+# 49 s; 20 M keeps a run well inside the 20 s budget with room for the
+# host's drift
+MAX_ORBIT_POINTS = 20_000_000
+
 # the exponent families `family_instances` lists, in CLI order
 FAMILIES = ("open-problem", "concl-A", "concl-B", "concl-C")
 
@@ -147,6 +154,13 @@ def _field_scan_data(field: Field) -> list[tuple[int, int]]:
             i = seen.find(0, i + 1)
         _FIELD_SCAN_DATA[field] = pairs
     return pairs
+
+
+def orbit_points(m: int) -> int:
+    """The orbit points one condition scan over GF(3^m) is counted at
+    against MAX_ORBIT_POINTS: n // (2m) + 1 for n = 3^m - 1, about one per
+    orbit of <3, -1>."""
+    return (3**m - 1) // (2 * m) + 1
 
 
 def _solutions_table(field: Field, e: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -333,10 +347,18 @@ def verify_family(
 ) -> list[tuple[FamilyInstance, ConditionReport]]:
     """verify_optimal over every instance of a family, in order.  An m
     without tables is refused before any table is built or instance
-    listed, whose 3^h never ends for an m far past the cap."""
+    listed, whose 3^h never ends for an m far past the cap, and a list
+    whose scans would pass MAX_ORBIT_POINTS before any table is built."""
     for m in ms:
         build_field(m).check_tables()
     instances = family_instances(name, ms)
+    points = sum(orbit_points(inst.m) for inst in instances)
+    if points > MAX_ORBIT_POINTS:
+        raise ValueError(
+            f"family {name} would test {points:,} orbit points over "
+            f"{len(instances):,} instances, past the budget of "
+            f"{MAX_ORBIT_POINTS:,}; give a shorter m-list"
+        )
     return [
         (inst, verify_optimal(build_field(inst.m), inst.e, inst.h))
         for inst in instances

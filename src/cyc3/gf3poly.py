@@ -22,11 +22,16 @@ empty tuple and reports degree -1, which sorts below every other degree.
 Constructor input may be any iterable of ints: signed coefficients are
 reduced mod 3 on ingestion, so -1 becomes 2.
 
-Two text forms are accepted wherever a polynomial is read: a human form like
-"x^6-x^5+x^3+1" (spaces optional) and a list form like "1,0,0,1,0,2,1" giving
-ascending-degree digits.  The human form is the one used in reports.  Text
-above degree MAX_POLY_DEGREE is refused before any coefficient list is
-allocated.
+Two text forms are accepted wherever a polynomial is read.  The human
+form, the one used in reports, is a sum of terms like "x^6-x^5+x^3+1":
+
+    poly = [sign] term {sign term}            sign = "+" | "-"
+    term = digits | [digits] "x" ["^" digits]  digits = [0-9]+
+
+with whitespace allowed before and after every token.  A coefficient counts
+mod 3, an exponent may carry leading zeros, and like terms add.  The list
+form, like "1,0,0,1,0,2,1", gives ascending-degree digits.  Text above
+degree MAX_POLY_DEGREE is refused before any coefficient list is allocated.
 
 Beyond ring arithmetic the module provides division with remainder, monic
 gcd, modular exponentiation, Frobenius powers by iterated cubing, a
@@ -44,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from typing import NamedTuple
 
 
@@ -55,10 +61,11 @@ MAX_POLY_DEGREE = 3000
 
 
 class PolyParseError(ValueError):
-    """Raised for malformed polynomial text; carries the offending position."""
+    """Raised for malformed polynomial text; carries the offending position,
+    and its message is the whole error line a caller prints."""
 
     def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (position {position})")
+        super().__init__(f"bad polynomial: {message} (position {position})")
         self.position = position
 
 
@@ -363,60 +370,39 @@ def _parse_list(text: str) -> Poly:
 
 
 def _parse_human(text: str) -> Poly:
-    n = len(text)
-
-    def skip(i):
-        while i < n and text[i].isspace():
-            i += 1
-        return i
-
-    def read_digits(i):
-        j = i
-        while j < n and "0" <= text[j] <= "9":  # isdigit() also takes "²"
-            j += 1
-        return text[i:j], j
-
+    # one term: sign, coefficient digits, x, then ^ and exponent digits, each
+    # part optional and followed by optional whitespace.  [0-9], not \d,
+    # which also takes other scripts' decimal digits such as "٣".  Compiled
+    # here, where re caches it, so commands that never parse do not pay
+    term = re.compile(r"([+-]?)\s*([0-9]*)\s*(?:(x)\s*(?:\^\s*([0-9]*))?)?\s*")
+    if not text or text.isspace():
+        raise PolyParseError("empty polynomial", len(text))
+    start = i = len(text) - len(text.lstrip())
     coeffs: dict[int, int] = {}
-    i = skip(0)
-    if i == n:
-        raise PolyParseError("empty polynomial", i)
-    first = True
-    while i < n:
-        sign = 1
-        if text[i] in "+-":
-            sign = -1 if text[i] == "-" else 1
-            i = skip(i + 1)
-        elif not first:
+    while i < len(text):
+        match = term.match(text, i)
+        sign, digits, x, exponent = match.groups()
+        if not sign and i > start:
             raise PolyParseError("expected '+' or '-'", i)
-        digits, i = read_digits(i)
+        if not digits and not x:
+            raise PolyParseError("expected a term", match.end())
+        d = 1 if x else 0
+        if exponent is not None:
+            at = match.start(4)
+            if not exponent:
+                raise PolyParseError("expected exponent digits", at)
+            # judged by length first: int() refuses very long digit runs
+            significant = exponent.lstrip("0") or "0"
+            if (
+                len(significant) > len(str(MAX_POLY_DEGREE))
+                or int(significant) > MAX_POLY_DEGREE
+            ):
+                raise PolyParseError(f"exponent above {MAX_POLY_DEGREE}", at)
+            d = int(significant)
         # a number and its digit sum agree mod 3, however long the number
-        coef = sum(map(int, digits)) if digits else None
-        i = skip(i)
-        power = None
-        if i < n and text[i] == "x":
-            i += 1
-            j = skip(i)
-            if j < n and text[j] == "^":
-                at = skip(j + 1)
-                digits, i = read_digits(at)
-                if not digits:
-                    raise PolyParseError("expected exponent digits", i)
-                # judged by length first: int() refuses very long digit runs
-                significant = digits.lstrip("0") or "0"
-                if (
-                    len(significant) > len(str(MAX_POLY_DEGREE))
-                    or int(significant) > MAX_POLY_DEGREE
-                ):
-                    raise PolyParseError(f"exponent above {MAX_POLY_DEGREE}", at)
-                power = int(significant)
-            else:
-                power = 1
-        if coef is None and power is None:
-            raise PolyParseError("expected a term", i)
-        d = power if power is not None else 0
-        coeffs[d] = coeffs.get(d, 0) + sign * (coef if coef is not None else 1)
-        first = False
-        i = skip(i)
+        coef = sum(map(int, digits)) if digits else 1
+        coeffs[d] = coeffs.get(d, 0) + (-coef if sign == "-" else coef)
+        i = match.end()
     out = [0] * (max(coeffs) + 1)
     for d, c in coeffs.items():
         out[d] = c

@@ -15,7 +15,7 @@ import pytest
 import cyc3
 from cyc3.cli import _report_text_lines, main
 from cyc3.conditions import _solutions_generic, verify_optimal
-from cyc3.cosets import coset, cosets_partition
+from cyc3.cosets import coset, cosets_partition, minimal_polynomial
 from cyc3.field import Field, build_field
 from cyc3.gf3poly import Poly, is_irreducible, parse_poly
 
@@ -104,6 +104,27 @@ def test_reports_keep_solutions_as_codes_without_decoding(monkeypatch, m, e):
         assert line.endswith(f" solutions ({len(codes)}): {shown}{more}")
 
 
+def test_code_reports_the_generator_of_its_parameters(capsys):
+    f4 = build_field(4)
+    generator = (f4.modulus * minimal_polynomial(f4, 14)).format()
+    code, out, err = run_cli(capsys, "code", "--m", "4", "--e", "14", "--format", "json")
+    assert (code, err) == (0, "")
+    d = json.loads(out)
+    assert d["command"] == "code"
+    assert (d["m"], d["e"], d["n"], d["k"]) == (4, 14, 80, 72)
+    assert d["generatorDegree"] == 8
+    assert d["generator"] == generator
+    assert d["modulus"] == f4.modulus.format()
+    code, out, err = run_cli(capsys, "code", "--m", "4", "--e", "14")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:4] == [
+        "code with nonzeros alpha, alpha^14 over GF(3^4):",
+        "length n = 80, dimension k = 72",
+        f"generator polynomial (degree 8): {generator}",
+        f"modulus: {f4.modulus.format()}",
+    ]
+
+
 def test_code_conjugate_exponent_exit_two(capsys):
     code, _, err = run_cli(capsys, "code", "--m", "4", "--e", "9")
     assert code == 2
@@ -120,6 +141,23 @@ def test_factor_round_trip(capsys):
         "x+1", "x-1", "x^2+1", "x^2+x-1", "x^2-x-1",
     ]
     assert d["irreducible"] is False
+
+
+def test_factor_reads_back_a_leading_minus_with_the_equals_form(capsys):
+    # argparse takes "--poly -x^2-1" for an option; "--poly=-x^2-1" reads
+    # every printed polynomial back, a leading minus included
+    for p in (2 * parse_poly("x^2+1"), parse_poly("-x^5+x-1"), Poly((2,))):
+        text = p.format()
+        assert text.startswith("-")
+        code, out, err = run_cli(capsys, "factor", f"--poly={text}", "--format", "json")
+        assert (code, err) == (0, "")
+        d = json.loads(out)
+        assert d["input"] == text
+        assert d["unit"] == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["factor", "--poly", "-x^2-1"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
 
 
 def _cyclotomic_factor_degrees(n):
@@ -247,6 +285,62 @@ def test_family_refuses_a_huge_m_before_listing_instances(capsys, name, m_list):
     assert f"m must be in [1, 20], got {m_list}" in err
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            ["family", "--name", "open-problem", "--m-list", "4,x"],
+            "argument --m-list: bad m-list '4,x'",
+        ),
+        (
+            ["search", "--m", "4", "--e-range", "2-10"],
+            "argument --e-range: e-range must look like A..B, got '2-10'",
+        ),
+        (
+            ["search", "--m", "4", "--e-range", "a..b"],
+            "argument --e-range: bad e-range 'a..b'",
+        ),
+    ],
+)
+def test_malformed_m_list_and_e_range_are_usage_errors(capsys, argv, err):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("usage: cyc3 ")
+    assert out.err.endswith(f"cyc3 {argv[0]}: error: {err}\n")
+
+
+def test_family_past_the_orbit_budget_is_refused_before_any_table(
+    capsys, monkeypatch
+):
+    # m = 4 counts 80 // 8 + 1 = 11 orbit points an instance: with room for
+    # three, a list of three answers and a list of four builds nothing
+    tables = Field.tables
+    built = []
+
+    def counting_tables(self):
+        built.append(self.m)
+        return tables(self)
+
+    monkeypatch.setattr(cyc3.conditions, "MAX_ORBIT_POINTS", 33)
+    monkeypatch.setattr(Field, "tables", counting_tables)
+    code, out, err = run_cli(
+        capsys, "family", "--name", "open-problem", "--m-list", "4,4,4,4"
+    )
+    assert (code, out, built) == (2, "", [])
+    assert err == (
+        "error: family open-problem would test 44 orbit points over 4 "
+        "instances, past the budget of 33; give a shorter m-list\n"
+    )
+    code, out, err = run_cli(
+        capsys, "family", "--name", "open-problem", "--m-list", "4,4,4"
+    )
+    assert (code, err) == (0, "")
+    assert "optimal: 3 of 3" in out and built
+
+
 @pytest.mark.parametrize("m_list", ["", ",", " , "])
 def test_family_refuses_an_empty_m_list(capsys, m_list):
     """An empty sweep certifies nothing, so it is a usage error, not a pass."""
@@ -262,6 +356,26 @@ def test_factor_parse_error_exit_two(capsys):
     code, _, err = run_cli(capsys, "factor", "--poly", "x^+1")
     assert code == 2
     assert "position" in err
+    # argparse 3.11 hands "--poly=--" over as an empty list, not as text
+    code, out, err = run_cli(capsys, "factor", "--poly=--")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad polynomial: ")
+
+
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        ("x^+3", "expected exponent digits (position 2)"),
+        ("x^²", "expected exponent digits (position 2)"),
+        ("", "empty polynomial (position 0)"),
+        ("x^2 * x", "expected '+' or '-' (position 4)"),
+        ("x^3001", "exponent above 3000 (position 2)"),
+    ],
+)
+def test_factor_parse_errors_name_the_position(capsys, text, err):
+    code, out, got = run_cli(capsys, "factor", f"--poly={text}")
+    assert (code, out) == (2, "")
+    assert got == f"error: bad polynomial: {err}\n"
 
 
 @pytest.mark.parametrize("poly", ["x^3000000000", "x^99999999999999999999999"])
@@ -536,7 +650,7 @@ def test_search_budget_counts_the_classes_it_scans(capsys, monkeypatch):
         )
 
     assert classes(100) == 30
-    monkeypatch.setattr(cyc3.cli, "SEARCH_MAX_ORBIT_POINTS", 30 * per_class)
+    monkeypatch.setattr(cyc3.conditions, "MAX_ORBIT_POINTS", 30 * per_class)
     code, out, err = run_cli(
         capsys, "search", "--m", "6", "--e-range", "2..100", "--format", "json"
     )

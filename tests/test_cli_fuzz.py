@@ -1,13 +1,14 @@
 """Fuzzing the command line: every argv either gets an answer or a refusal.
 
-Random argv for `coset`, `field-info`, `minpoly`, `factor` and the scan
-commands `verify`, `mindist`, `family` and `search` run through `cli.main`
-in-process.  Integers come from the whole range, far past every limit,
+Random argv for `coset`, `field-info`, `minpoly`, `factor`, `code` and the
+scan commands `verify`, `mindist`, `family` and `search` run through
+`cli.main` in-process.  Integers come from the whole range, far past every limit,
 with half the weight on the small values -3..24, and polynomial text from
 a small alphabet, as raw strings and as sums of terms; at least half of
 the scan commands' m draws lie below the table cap, where they answer.
 `family` takes every name with an m-list of one to three integers, and
-`search` an e-range of at most 201 exponents.  Each run must end with an
+`search` an e-range of at most 201 exponents; `code` draws its m and e as
+`verify` does, in a test of its own so that the other tests draw as before.  Each run must end with an
 exit code in {0, 1, 2}, with no exception escaping `main`, within the
 documented per-command budget of BUDGET_S seconds (README, exit codes).
 `coset` refuses p >= 2^32 and p^m - 1 >= 2^64, polynomial text above
@@ -121,6 +122,15 @@ def test_cli_answers_or_refuses_within_budget(argv, fmt):
 def test_scan_commands_answer_or_refuse_within_budget(argv, fmt):
     start = time.perf_counter()
     code = run_main(argv + ["--format", fmt])
+    assert time.perf_counter() - start < BUDGET_S
+    assert code in (0, 1, 2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(scan_m, integers, formats)
+def test_code_answers_or_refuses_within_budget(m, e, fmt):
+    start = time.perf_counter()
+    code = run_main(["code", "--m", m, "--e", e, "--format", fmt])
     assert time.perf_counter() - start < BUDGET_S
     assert code in (0, 1, 2)
 

@@ -10,6 +10,7 @@ from cyc3.gf3poly import (
     MAX_POLY_DEGREE,
     Factorization,
     _equal_degree,
+    _parse_human,
     _frobenius_rows,
     _trace,
     Poly,
@@ -323,6 +324,127 @@ def test_parse_refuses_above_the_degree_cap():
     with pytest.raises(PolyParseError) as exc:
         parse_poly(digits)
     assert exc.value.position == 2 * (MAX_POLY_DEGREE + 1)
+
+
+def _scanner_parse_human(text: str) -> Poly:
+    """The hand-written scanner that read the human form before the
+    regular grammar, kept as the reference that _parse_human must match."""
+    n = len(text)
+
+    def skip(i):
+        while i < n and text[i].isspace():
+            i += 1
+        return i
+
+    def read_digits(i):
+        j = i
+        while j < n and "0" <= text[j] <= "9":
+            j += 1
+        return text[i:j], j
+
+    coeffs: dict[int, int] = {}
+    i = skip(0)
+    if i == n:
+        raise PolyParseError("empty polynomial", i)
+    first = True
+    while i < n:
+        sign = 1
+        if text[i] in "+-":
+            sign = -1 if text[i] == "-" else 1
+            i = skip(i + 1)
+        elif not first:
+            raise PolyParseError("expected '+' or '-'", i)
+        digits, i = read_digits(i)
+        coef = sum(map(int, digits)) if digits else None
+        i = skip(i)
+        power = None
+        if i < n and text[i] == "x":
+            i += 1
+            j = skip(i)
+            if j < n and text[j] == "^":
+                at = skip(j + 1)
+                digits, i = read_digits(at)
+                if not digits:
+                    raise PolyParseError("expected exponent digits", i)
+                significant = digits.lstrip("0") or "0"
+                if (
+                    len(significant) > len(str(MAX_POLY_DEGREE))
+                    or int(significant) > MAX_POLY_DEGREE
+                ):
+                    raise PolyParseError(f"exponent above {MAX_POLY_DEGREE}", at)
+                power = int(significant)
+            else:
+                power = 1
+        if coef is None and power is None:
+            raise PolyParseError("expected a term", i)
+        d = power if power is not None else 0
+        coeffs[d] = coeffs.get(d, 0) + sign * (coef if coef is not None else 1)
+        first = False
+        i = skip(i)
+    out = [0] * (max(coeffs) + 1)
+    for d, c in coeffs.items():
+        out[d] = c
+    return Poly(out)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except PolyParseError as exc:
+        return str(exc), exc.position
+
+
+def _human_form_texts(rng):
+    """Texts for the differential test: the edge cases by name, random
+    strings over the grammar's characters and a few it refuses, and
+    structured sums of terms with tabs, leading zeros and spaced x ^ e.
+    Only ASCII digits count: "²" is a digit to str.isdigit(), and "٣"
+    (ARABIC-INDIC DIGIT THREE) is one to int() and to the regex class \\d."""
+    yield from (
+        "", " ", "\t\n", "x^²", "²x", "x^٣", "٣x",
+        "x^3000", f"x^{MAX_POLY_DEGREE + 1}", "x ^ \t07 - 1",
+        "x^" + "0" * 4400 + "5", "1" * 5000 + "x", "-" + "2" * 4301,
+        "x^" + "9" * 4400, "x^00" + "1" + "0" * 4400 + "+1",
+    )
+    for _ in range(80_000):
+        yield "".join(rng.choices("x^+-0123 \t²٣,9", k=rng.randrange(13)))
+    space = ("", "", " ", "\t", "  ")
+    for _ in range(30_000):
+        text = rng.choice(space)
+        for t in range(rng.randrange(1, 6)):
+            # a sign is optional on the first term only; drop a later one now
+            # and then
+            signed = t and rng.random() < 0.95
+            text += rng.choice(("+", "-") if signed else ("+", "-", ""))
+            text += rng.choice(space)
+            if rng.random() < 0.6:
+                text += "0" * rng.randrange(3) + str(rng.randrange(30))
+                text += rng.choice(space)
+            if rng.random() < 0.7:
+                text += "x" + rng.choice(space)
+                if rng.random() < 0.6:
+                    text += "^" + rng.choice(space) + "0" * rng.randrange(3)
+                    text += rng.choice(("", "1", "12", "3000", "3001", "299", "40000"))
+            text += rng.choice(space)
+        yield text
+
+
+def test_parse_human_matches_the_scanner_it_replaced():
+    kinds = set()
+    texts = list(_human_form_texts(random.Random(2019)))
+    assert len(texts) >= 100_000
+    for text in texts:
+        want = _parse_outcome(_scanner_parse_human, text)
+        assert _parse_outcome(_parse_human, text) == want, text
+        if isinstance(want, tuple):
+            kinds.add(want[0].split(" (position")[0])
+    assert kinds == {
+        "bad polynomial: empty polynomial",
+        "bad polynomial: expected '+' or '-'",
+        "bad polynomial: expected a term",
+        "bad polynomial: expected exponent digits",
+        f"bad polynomial: exponent above {MAX_POLY_DEGREE}",
+    }
 
 
 def test_format_renders_two_as_minus():
