@@ -399,34 +399,27 @@ def _cmd_search(args):
     if not 1 <= lo <= hi <= n - 1:
         raise ValueError(f"e-range must lie within [1, {n - 1}]")
     field.check_tables()  # before the walk marks n exponents
-    # the walk lists each class met, to be scanned over about n/(2m) orbit
-    # leaders, and stops at the first past the budget.  No even e is
-    # conjugate to 1: n is even, so e's coset holds only even numbers
-    per_class = conditions.orbit_points(args.m)
-    leaders = []
-    for cos in cosets_meeting(range(lo + lo % 2, hi + 1, 2), 3, args.m):
-        leaders.append(cos.leader)
-        if len(leaders) * per_class > conditions.MAX_ORBIT_POINTS:
-            raise ValueError(
-                f"search over e in [{lo}, {hi}] at m={args.m} would test at "
-                f"least {len(leaders) * per_class:,} orbit points ({len(leaders):,} "
-                f"exponent classes of {per_class:,}), past the budget of "
-                f"{conditions.MAX_ORBIT_POINTS:,}; give a narrower --e-range A..B"
-            )
-    optimal = []
-    for e in leaders:
-        report = verify_optimal(field, e)
-        if report.verdict == "optimal":
-            body = report.to_json_dict(field)
-            optimal.append({key: body[key] for key in ("e", "h", "parameters")})
-    optimal.sort(key=lambda entry: entry["e"])
+    # no even e is conjugate to 1: n is even, so e's coset holds only even
+    # numbers.  Scanned in ascending order, the optimal leaders come sorted
+    evens = range(lo + lo % 2, hi + 1, 2)
+    leaders = sorted(cos.leader for cos in cosets_meeting(evens, 3, args.m))
+    reports = conditions.verify_sweep(
+        [(args.m, e, None) for e in leaders],
+        f"search over e in [{lo}, {hi}] at m={args.m}",
+        "exponent classes",
+        "narrower --e-range A..B",
+    )
+    optimal = [rep for rep in reports if rep.verdict == "optimal"]
     payload = _wrap(
         "search",
         {
             "m": args.m,
             "eRange": [lo, hi],
             "evaluatedCosetLeaders": len(leaders),
-            "optimal": optimal,
+            "optimal": [
+                {"e": r.e, "h": r.h, "parameters": r.parameters_json}
+                for r in optimal
+            ],
             "modulus": field.modulus.format(),
         },
     )
@@ -434,10 +427,9 @@ def _cmd_search(args):
         f"search over even e in [{lo}, {hi}] at m={args.m} "
         f"({len(leaders)} coset leaders evaluated):"
     ]
-    for entry in optimal:
-        h = f" (e = 3^{entry['h']}+5)" if entry["h"] is not None else ""
-        params = list(entry["parameters"].values())
-        text.append(f"  e = {entry['e']}{h}: optimal {params}")
+    for rep in optimal:
+        h = f" (e = 3^{rep.h}+5)" if rep.h is not None else ""
+        text.append(f"  e = {rep.e}{h}: optimal {list(rep.parameters)}")
     text.append(f"{len(optimal)} optimal coset leaders")
     return 0, payload, text
 

@@ -69,11 +69,11 @@ from .cosets import coset
 from .field import Field, build_field
 from .gf3poly import powmod
 
-# the most orbit points one `search` or `family` run may test, read at call
-# time.  On a 2-core host the whole group at m = 10 (8.9 M points) took
-# 1.9-3.0 s, at m = 11 (65 M) 14.5-19.8 s, and 137 M points at m = 12 took
-# 49 s; 20 M keeps a run well inside the 20 s budget with room for the
-# host's drift
+# the most orbit points one `verify_sweep`, so one `search` or `family`
+# run, may test, read at call time.  On a 2-core host the whole group at
+# m = 10 (8.9 M points) took 1.9-3.0 s, at m = 11 (65 M) 14.5-19.8 s, and
+# 137 M points at m = 12 took 49 s; 20 M keeps a run well inside the 20 s
+# budget with room for the host's drift
 MAX_ORBIT_POINTS = 20_000_000
 
 # the exponent families `family_instances` lists, in CLI order
@@ -101,6 +101,12 @@ class ConditionReport(NamedTuple):
     verdict: str  # "optimal" or "not_optimal"
     parameters: tuple[int, int, int] | None
 
+    @property
+    def parameters_json(self) -> dict[str, int] | None:
+        """The parameters as the JSON object {n, k, d}, or None: the one
+        layout to_json_dict and `search`'s optimal entries both print."""
+        return None if self.parameters is None else dict(zip("nkd", self.parameters))
+
     def to_json_dict(self, field: Field) -> dict:
         return {
             "m": self.m,
@@ -112,13 +118,7 @@ class ConditionReport(NamedTuple):
             "c2Solutions": [field.format_element(x) for x in self.c2_solutions],
             "c3Solutions": [field.format_element(x) for x in self.c3_solutions],
             "verdict": self.verdict,
-            "parameters": None
-            if self.parameters is None
-            else {
-                "n": self.parameters[0],
-                "k": self.parameters[1],
-                "d": self.parameters[2],
-            },
+            "parameters": self.parameters_json,
             "modulus": field.modulus.format(),
         }
 
@@ -154,13 +154,6 @@ def _field_scan_data(field: Field) -> list[tuple[int, int]]:
             i = seen.find(0, i + 1)
         _FIELD_SCAN_DATA[field] = pairs
     return pairs
-
-
-def orbit_points(m: int) -> int:
-    """The orbit points one condition scan over GF(3^m) is counted at
-    against MAX_ORBIT_POINTS: n // (2m) + 1 for n = 3^m - 1, about one per
-    orbit of <3, -1>."""
-    return (3**m - 1) // (2 * m) + 1
 
 
 def _solutions_table(field: Field, e: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -204,9 +197,13 @@ def _solutions_table(field: Field, e: int) -> tuple[tuple[int, ...], tuple[int, 
 
 
 def _solutions_generic(field: Field, e: int, sign: int) -> list[int]:
-    """Same solution codes by square-and-multiply on every element.  It
-    reads no exp or Zech table, so tests use it as an independent oracle
-    for the table scan; it is far too slow to decide verdicts."""
+    """Same solution codes by square-and-multiply on every element: of
+    condition 2 for sign -1, of condition 3 for sign +1.  It reads no exp
+    or Zech table, so tests use it as an independent oracle for the table
+    scan; it is far too slow to decide verdicts.  It takes one equation
+    per call, by `sign`, because perfbench/make_reference.py passes it;
+    returning both lists, as _solutions_table does, goes with the next
+    change to the benchmark harness."""
     one, modulus = field.one, field.modulus
     sols = []
     for code, x in enumerate(field.elements()):
@@ -218,12 +215,16 @@ def _solutions_generic(field: Field, e: int, sign: int) -> list[int]:
 
 
 def check_c2(field: Field, e: int) -> tuple[int, ...]:
-    """The codes of all x with (x+1)^e - x^e - 1 = 0, ascending."""
+    """The codes of all x with (x+1)^e - x^e - 1 = 0, ascending.  No
+    verdict reads it (verify_optimal scans both equations at once); it
+    stays while perfbench/tracer.py wraps it by name, and goes with the
+    next change to the benchmark harness."""
     return _solutions_table(field, e)[0]
 
 
 def check_c3(field: Field, e: int) -> tuple[int, ...]:
-    """The codes of all x with (x+1)^e + x^e + 1 = 0, ascending."""
+    """The codes of all x with (x+1)^e + x^e + 1 = 0, ascending; kept,
+    like check_c2, while perfbench/tracer.py wraps it by name."""
     return _solutions_table(field, e)[1]
 
 
@@ -305,61 +306,65 @@ def _congruence_hits(m: int, multipliers: tuple[int, ...]) -> list[int]:
     ]
 
 
-def conclusion_family_instances(m: int) -> list[FamilyInstance]:
-    """The three odd-m families, every qualifying h in [0, m); family C
-    appears once per reading of its ambiguous constant."""
-    if m % 2 == 0 or m < 5:
-        raise ValueError(f"m must be odd and >= 5, got {m}")
-    if m % 3 == 0:
-        raise ValueError(f"m must be coprime to 3, got {m}")
-    out = []
-    ab_hs = _congruence_hits(m, (2,))
-    for h in ab_hs:
-        out.append(FamilyInstance("concl-A", m, h, 3**h + 5))
-    for h in ab_hs:
-        out.append(FamilyInstance("concl-B", m, h, 3**h + 13))
-    c_hs = _congruence_hits(m, (2, 3, 4))
-    for tag, const in FAMILY_C_READINGS:
-        for h in c_hs:
-            out.append(FamilyInstance("concl-C", m, h, const(m) + 3**h + 1, tag))
-    return out
-
-
 def family_instances(name: str, ms: list[int]) -> list[FamilyInstance]:
+    """The named family's instances over ms, in order.  open-problem takes
+    even m >= 4; the three others take odd m >= 5 coprime to 3, with every
+    qualifying h in [0, m), and family C lists each reading of its
+    ambiguous constant in turn."""
     out = []
     for m in ms:
         if name == "open-problem":
-            h, e = open_problem_exponent(m)
-            out.append(FamilyInstance("open-problem", m, h, e))
-        elif name in FAMILIES:
+            out.append(FamilyInstance(name, m, *open_problem_exponent(m)))
+            continue
+        if name not in FAMILIES:
+            raise ValueError(f"unknown family {name!r}")
+        if m % 2 == 0 or m < 5:
+            raise ValueError(f"m must be odd and >= 5, got {m}")
+        if m % 3 == 0:
+            raise ValueError(f"m must be coprime to 3, got {m}")
+        if name == "concl-C":
+            c_hs = _congruence_hits(m, (2, 3, 4))
             out.extend(
-                inst
-                for inst in conclusion_family_instances(m)
-                if inst.family == name
+                FamilyInstance(name, m, h, const(m) + 3**h + 1, tag)
+                for tag, const in FAMILY_C_READINGS
+                for h in c_hs
             )
         else:
-            raise ValueError(f"unknown family {name!r}")
+            c = 5 if name == "concl-A" else 13
+            out.extend(
+                FamilyInstance(name, m, h, 3**h + c)
+                for h in _congruence_hits(m, (2,))
+            )
     return out
+
+
+def verify_sweep(
+    instances: list[tuple[int, int, int | None]], subject: str, unit: str, fix: str
+) -> list[ConditionReport]:
+    """verify_optimal over (m, e, h) instances, reported in list order.
+    Every listed instance counts (3^m - 1) // (2m) + 1 orbit points, about
+    one per orbit of <3, -1>, repeats included, and a list past
+    MAX_ORBIT_POINTS is refused before any table is built; each listed
+    instance is then scanned, so the count is the work that runs."""
+    points = sum((3**m - 1) // (2 * m) + 1 for m, _, _ in instances)
+    if points > MAX_ORBIT_POINTS:
+        raise ValueError(
+            f"{subject} would test {points:,} orbit points over "
+            f"{len(instances):,} {unit}, past the budget of "
+            f"{MAX_ORBIT_POINTS:,}; give a {fix}"
+        )
+    return [verify_optimal(build_field(m), e, h) for m, e, h in instances]
 
 
 def verify_family(
     name: str, ms: list[int]
 ) -> list[tuple[FamilyInstance, ConditionReport]]:
-    """verify_optimal over every instance of a family, in order.  An m
-    without tables is refused before any table is built or instance
-    listed, whose 3^h never ends for an m far past the cap, and a list
-    whose scans would pass MAX_ORBIT_POINTS before any table is built."""
+    """verify_sweep over the instances of a family.  An m without tables
+    is refused before any table is built or instance listed, whose 3^h
+    never ends for an m far past the cap."""
     for m in ms:
         build_field(m).check_tables()
     instances = family_instances(name, ms)
-    points = sum(orbit_points(inst.m) for inst in instances)
-    if points > MAX_ORBIT_POINTS:
-        raise ValueError(
-            f"family {name} would test {points:,} orbit points over "
-            f"{len(instances):,} instances, past the budget of "
-            f"{MAX_ORBIT_POINTS:,}; give a shorter m-list"
-        )
-    return [
-        (inst, verify_optimal(build_field(inst.m), inst.e, inst.h))
-        for inst in instances
-    ]
+    sweep = [(inst.m, inst.e, inst.h) for inst in instances]
+    reports = verify_sweep(sweep, f"family {name}", "instances", "shorter m-list")
+    return list(zip(instances, reports))

@@ -73,8 +73,7 @@ def cosets_meeting(exponents, p: int, m: int):
     [0, p^m - 1)), once, in order of first meeting.
 
     One coset() call per coset: the members of each coset yielded are
-    marked, and an exponent already marked is skipped.  Lazy, so `search`
-    counts the classes against its budget and stops at the first past it.
+    marked, and an exponent already marked is skipped.
     """
     met = bytearray(p**m - 1)
     for j in exponents:

@@ -341,6 +341,31 @@ def test_family_past_the_orbit_budget_is_refused_before_any_table(
     assert "optimal: 3 of 3" in out and built
 
 
+def test_family_scans_every_listed_instance_in_order(capsys, monkeypatch):
+    # 4,6,4,4 lists four instances, the budget counts four, and four scans
+    # run; every reported instance is the report a fresh verify_optimal gives
+    solutions_table = cyc3.conditions._solutions_table
+    scanned = []
+
+    def counting_table(field, e):
+        scanned.append((field.m, e))
+        return solutions_table(field, e)
+
+    monkeypatch.setattr(cyc3.conditions, "_solutions_table", counting_table)
+    code, out, err = run_cli(
+        capsys, "family", "--name", "open-problem", "--m-list", "4,6,4,4",
+        "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    assert scanned == [(4, 14), (6, 86), (4, 14), (4, 14)]
+    reports = [inst["report"] for inst in json.loads(out)["instances"]]
+    assert [r["m"] for r in reports] == [4, 6, 4, 4]
+    for r in reports:
+        field = build_field(r["m"])
+        fresh = verify_optimal(field, r["e"], r["h"]).to_json_dict(field)
+        assert r == fresh
+
+
 @pytest.mark.parametrize("m_list", ["", ",", " , "])
 def test_family_refuses_an_empty_m_list(capsys, m_list):
     """An empty sweep certifies nothing, so it is a usage error, not a pass."""
@@ -611,15 +636,30 @@ def test_search_bad_range(capsys):
 
 
 @pytest.mark.parametrize("m", [11, 12])
-def test_whole_group_search_past_its_budget_is_refused_up_front(capsys, m):
+def test_whole_group_search_past_its_budget_is_refused_up_front(
+    capsys, monkeypatch, m
+):
     # the whole group takes 15-20 s at m = 11 and minutes at m = 12; the
-    # refusal comes before the tables or any scan and names the way to ask
-    # for less
+    # refusal counts every class the range meets, builds no table, and
+    # names the way to ask for less
+    points, classes = {11: ("64,842,756", "8,052"), 12: ("491,951,104", "22,216")}[m]
+    tables = Field.tables
+    built = []
+
+    def counting_tables(self):
+        built.append(self.m)
+        return tables(self)
+
+    monkeypatch.setattr(Field, "tables", counting_tables)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "search", "--m", str(m), "--format", "json")
     assert time.perf_counter() - start < 1
-    assert (code, out) == (2, "")
-    assert "--e-range" in err
+    assert (code, out, built) == (2, "", [])
+    assert err == (
+        f"error: search over e in [2, {3**m - 2}] at m={m} would test "
+        f"{points} orbit points over {classes} exponent classes, past the "
+        "budget of 20,000,000; give a narrower --e-range A..B\n"
+    )
 
 
 def test_ranged_search_past_its_budget_is_refused_up_front(capsys):
@@ -661,8 +701,22 @@ def test_search_budget_counts_the_classes_it_scans(capsys, monkeypatch):
         capsys, "search", "--m", "6", "--e-range", f"2..{hi}", "--format", "json"
     )
     assert (code, out) == (2, "")
-    assert f"(31 exponent classes of {per_class})" in err
+    assert f"{31 * per_class:,} orbit points over 31 exponent classes" in err
     assert "--e-range" in err
+
+
+def test_readme_quotes_the_budget_refusals(capsys):
+    # the README quotes these two refusals word for word
+    path = Path(__file__).resolve().parents[1] / "README.md"
+    readme = " ".join(path.read_text(encoding="utf-8").split())
+    for argv in (
+        ["search", "--m", "12", "--e-range", "2..20000"],
+        ["family", "--name", "open-problem", "--m-list", ",".join(["12"] * 904)],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        for line in err.splitlines():
+            assert " ".join(line.split()) in readme, line
 
 
 def test_ranged_search_at_m12_answers(capsys):

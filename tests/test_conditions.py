@@ -16,15 +16,17 @@ from cyc3.codes import (
     min_weight_leq3_search,
 )
 from cyc3.conditions import (
+    FAMILIES,
     FAMILY_C_READINGS,
     _FIELD_SCAN_DATA,
+    FamilyInstance,
+    _congruence_hits,
     _field_scan_data,
     _solutions_generic,
     _solutions_table,
     check_c1,
     check_c2,
     check_c3,
-    conclusion_family_instances,
     family_instances,
     gcd_chain_check,
     open_problem_exponent,
@@ -550,22 +552,19 @@ def test_open_problem_exponents():
 
 
 def test_family_a_instances():
-    insts = conclusion_family_instances(5)
-    a = [(i.h, i.e) for i in insts if i.family == "concl-A"]
+    a = [(i.h, i.e) for i in family_instances("concl-A", [5])]
     assert a == [(2, 14), (3, 32)]
-    insts7 = conclusion_family_instances(7)
-    a7 = [(i.h, i.e) for i in insts7 if i.family == "concl-A"]
+    a7 = [(i.h, i.e) for i in family_instances("concl-A", [7])]
     assert a7 == [(3, 32), (4, 86)]
 
 
 def test_family_b_instances():
-    insts = conclusion_family_instances(5)
-    b = [(i.h, i.e) for i in insts if i.family == "concl-B"]
+    b = [(i.h, i.e) for i in family_instances("concl-B", [5])]
     assert b == [(2, 22), (3, 40)]
 
 
 def test_family_c_both_readings_enumerated():
-    insts = [i for i in conclusion_family_instances(5) if i.family == "concl-C"]
+    insts = family_instances("concl-C", [5])
     readings = {i.reading for i in insts}
     assert readings == {tag for tag, _ in FAMILY_C_READINGS}
     first = [(i.h, i.e) for i in insts if i.reading == "(3^m-1)/2"]
@@ -576,19 +575,73 @@ def test_family_c_both_readings_enumerated():
 
 def test_family_c_first_reading_is_parity_dead():
     # (3^m - 1)/2 is odd, 3^h + 1 is even, so e is odd for every h
-    for m in (5, 7, 11):
-        for i in conclusion_family_instances(m):
-            if i.family == "concl-C" and i.reading == "(3^m-1)/2":
-                assert i.e % 2 == 1
+    for i in family_instances("concl-C", [5, 7, 11]):
+        if i.reading == "(3^m-1)/2":
+            assert i.e % 2 == 1
 
 
 def test_conclusion_families_reject_bad_m():
-    with pytest.raises(ValueError):
-        conclusion_family_instances(4)  # even
-    with pytest.raises(ValueError):
-        conclusion_family_instances(9)  # divisible by 3
-    with pytest.raises(ValueError):
-        conclusion_family_instances(3)
+    for name in ("concl-A", "concl-B", "concl-C"):
+        with pytest.raises(ValueError):
+            family_instances(name, [4])  # even
+        with pytest.raises(ValueError):
+            family_instances(name, [9])  # divisible by 3
+        with pytest.raises(ValueError):
+            family_instances(name, [3])
+
+
+def _parent_family_instances(name, ms):
+    # the listing as it stood before family_instances listed one family:
+    # all three odd-m families built, then filtered to the named one
+    def conclusion_family_instances(m):
+        if m % 2 == 0 or m < 5:
+            raise ValueError(f"m must be odd and >= 5, got {m}")
+        if m % 3 == 0:
+            raise ValueError(f"m must be coprime to 3, got {m}")
+        out = []
+        ab_hs = _congruence_hits(m, (2,))
+        for h in ab_hs:
+            out.append(FamilyInstance("concl-A", m, h, 3**h + 5))
+        for h in ab_hs:
+            out.append(FamilyInstance("concl-B", m, h, 3**h + 13))
+        c_hs = _congruence_hits(m, (2, 3, 4))
+        for tag, const in FAMILY_C_READINGS:
+            for h in c_hs:
+                out.append(FamilyInstance("concl-C", m, h, const(m) + 3**h + 1, tag))
+        return out
+
+    out = []
+    for m in ms:
+        if name == "open-problem":
+            h, e = open_problem_exponent(m)
+            out.append(FamilyInstance("open-problem", m, h, e))
+        elif name in FAMILIES:
+            out.extend(
+                inst for inst in conclusion_family_instances(m) if inst.family == name
+            )
+        else:
+            raise ValueError(f"unknown family {name!r}")
+    return out
+
+
+def _listing(lister, name, ms):
+    try:
+        return lister(name, ms)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("name", FAMILIES + ("concl-Z",))
+def test_family_listing_matches_the_filtered_listing(name):
+    odd = [m for m in range(5, 32, 2) if m % 3]
+    ms_lists = [[m] for m in odd + list(range(4, 31, 2)) + [3, 4, 9]]
+    ms_lists += [odd, list(range(4, 31, 2)), [5, 4], [4, 5], [3, 4, 9], []]
+    for ms in ms_lists:
+        assert _listing(family_instances, name, ms) == _listing(
+            _parent_family_instances, name, ms
+        ), (name, ms)
+    with pytest.raises(ValueError, match="unknown family 'concl-Z'"):
+        family_instances("concl-Z", [5])
 
 
 def test_verify_family_a_and_b_all_optimal():
