@@ -333,7 +333,8 @@ def _cmd_mindist(args):
 
 
 def _cmd_factor(args):
-    poly = parse_poly(args.poly)
+    # argparse 3.11 drops an option value of exactly "--" and stores []
+    poly = parse_poly("--" if args.poly == [] else args.poly)
     fac = factor(poly)
     payload = _wrap(
         "factor",

@@ -211,20 +211,19 @@ class Poly:
     def __divmod__(self, other: "Poly"):
         if not isinstance(other, Poly):
             return NotImplemented
-        q1: list[int] = []
-        q2: list[int] = []
-        r = _reduce(self, other, q1, q2)
+        r, q1, q2 = _reduce(self, other, quotient=True)
         # _reduce divided by lc * other, and lc is its own inverse mod 3
-        q = _poly(_from_bits(q1), _from_bits(q2)) * other.lc
-        return q, r
+        return _poly(q1, q2) * other.lc, r
 
     def __floordiv__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            return NotImplemented
         return divmod(self, other)[0]
 
     def __mod__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        return _reduce(self, other)
+        return _reduce(self, other)[0]
 
     def derivative(self) -> "Poly":
         # i * c_i is c_i for i = 1 mod 3, -c_i for i = 2 mod 3, else 0
@@ -269,15 +268,16 @@ def _add(a1: int, a2: int, b1: int, b2: int) -> tuple[int, int]:
     return (a2 | b2) ^ t, (a1 | b1) ^ t
 
 
-def _reduce(a: Poly, b: Poly, q1: list | None = None, q2: list | None = None) -> Poly:
-    """a mod b, cancelling the top term of a until its degree drops below
-    b's; with lists q1, q2, also collect the powers of x whose coefficient
-    is 1 (q1) or 2 (q2) in the quotient of a by the monic lc(b) * b."""
+def _reduce(a: Poly, b: Poly, quotient: bool = False) -> tuple[Poly, int, int]:
+    """a mod b and the planes of the quotient of a by the monic lc(b) * b,
+    cancelling the top term of a until its degree drops below b's.  The
+    quotient planes are built only when asked for, and are 0 otherwise."""
     if b.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
     g1, g2 = (b._p1, b._p2) if b.lc == 1 else (b._p2, b._p1)
     size = b.degree + 1
     r1, r2 = a._p1, a._p2
+    q1 = q2 = 0
     while True:
         # the top term c*x^(s+deg g) goes by subtracting c*x^s*g
         n1, n2 = r1.bit_length(), r2.bit_length()
@@ -285,27 +285,19 @@ def _reduce(a: Poly, b: Poly, q1: list | None = None, q2: list | None = None) ->
             s = n1 - size
             if s < 0:
                 break
-            if q1 is not None:
-                q1.append(s)
+            if quotient:
+                q1 |= 1 << s
             x1, x2 = g2 << s, g1 << s
         else:
             s = n2 - size
             if s < 0:
                 break
-            if q2 is not None:
-                q2.append(s)
+            if quotient:
+                q2 |= 1 << s
             x1, x2 = g1 << s, g2 << s
         t = (r1 | x2) ^ (r2 | x1)  # _add, inlined in the hot loops
         r1, r2 = (r2 | x2) ^ t, (r1 | x1) ^ t
-    return _poly(r1, r2)
-
-
-def _from_bits(positions: list[int]) -> int:
-    """The int whose set bits are the given positions; inverse of _bits."""
-    v = 0
-    for i in positions:
-        v |= 1 << i
-    return v
+    return _poly(r1, r2), q1, q2
 
 
 # the characters of bin(v) to byte values that are true for a set bit
@@ -431,7 +423,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
             g1, g2, size = b1, b2, n1
         else:
             g1, g2, size = b2, b1, n2
-        while True:  # _reduce, inlined
+        # _reduce, inlined: a shared reducer per step took 1.10-1.13x (40-round A/B)
+        while True:
             n1, n2 = a1.bit_length(), a2.bit_length()
             if n1 > n2:
                 s = n1 - size
@@ -631,8 +624,7 @@ def _trace(a: Poly, d: int, rows: list[tuple[int, int]]) -> Poly:
     p1, p2 = t1, t2 = a._p1, a._p2
     for _ in range(d - 1):
         p1, p2 = _cube_mod(p1, p2, rows)
-        t = (t1 | p2) ^ (t2 | p1)  # _add, inlined
-        t1, t2 = (t2 | p2) ^ t, (t1 | p1) ^ t
+        t1, t2 = _add(t1, t2, p1, p2)
     return _poly(t1, t2)
 
 
@@ -646,6 +638,7 @@ def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:
     n = f.degree
     if n == d:
         return [f]
+    # rows per node: reusing the root's took 2.3-2.5x on x^728-1 (40-round A/B)
     rows = _frobenius_rows(f)
     while True:
         p1 = rng.getrandbits(n)

@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, determinism."""
 
+import argparse
 import csv
 import io
 import json
@@ -13,11 +14,11 @@ from pathlib import Path
 import pytest
 
 import cyc3
-from cyc3.cli import _report_text_lines, main
+from cyc3.cli import _cmd_factor, _report_text_lines, main
 from cyc3.conditions import _solutions_generic, verify_optimal
 from cyc3.cosets import coset, cosets_partition, minimal_polynomial
 from cyc3.field import Field, build_field
-from cyc3.gf3poly import Poly, is_irreducible, parse_poly
+from cyc3.gf3poly import Poly, PolyParseError, is_irreducible, parse_poly
 
 
 def run_cli(capsys, *argv):
@@ -381,10 +382,13 @@ def test_factor_parse_error_exit_two(capsys):
     code, _, err = run_cli(capsys, "factor", "--poly", "x^+1")
     assert code == 2
     assert "position" in err
-    # argparse 3.11 hands "--poly=--" over as an empty list, not as text
+    # argparse 3.11 hands "--poly=--" over as an empty list, not as text;
+    # either way the user reads what parse_poly("--") raises
     code, out, err = run_cli(capsys, "factor", "--poly=--")
     assert (code, out) == (2, "")
-    assert err.startswith("error: bad polynomial: ")
+    assert err == "error: bad polynomial: expected a term (position 1)\n"
+    with pytest.raises(PolyParseError, match=r"expected a term \(position 1\)$"):
+        _cmd_factor(argparse.Namespace(poly="--"))
 
 
 @pytest.mark.parametrize(
@@ -432,6 +436,22 @@ def test_identities_exit_zero(capsys):
     d = json.loads(out)
     assert d["allPass"] is True
     assert len(d["checks"]) == 9
+
+
+def test_identities_failing_check_exits_one_with_its_detail(capsys, monkeypatch):
+    import cyc3.identities
+
+    checks = cyc3.identities.run_all()
+    checks[2] = checks[2]._replace(status="fail", detail="tampered for the test")
+    monkeypatch.setattr(cyc3.identities, "run_all", lambda: checks)
+    code, out, _ = run_cli(capsys, "identities")
+    assert code == 1
+    lines = out.splitlines()
+    failed = [line for line in lines if " fail " in line]
+    assert len(failed) == 1
+    assert failed[0].startswith(checks[2].check_id)
+    assert failed[0].endswith("  tampered for the test")
+    assert "8 of 9 checks pass" in lines
 
 
 def test_field_info_json(capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyc3 import codes
 from cyc3.codes import (
     ConjugateExponentError,
     build_code,
@@ -112,6 +113,13 @@ def test_weight3_witness_for_e_4():
     assert w.weight == 3
     s1, s2 = syndrome(f4, 4, w.positions, w.values)
     assert s1 == f4.zero and s2 == f4.zero
+
+
+def test_witness_that_fails_its_syndrome_is_refused(monkeypatch):
+    # the search returns no word it could not confirm
+    monkeypatch.setattr(codes, "syndrome", lambda field, *_: (field.one, field.zero))
+    with pytest.raises(RuntimeError, match="failed syndrome confirmation"):
+        min_weight_leq3_search(build_field(4), 4)
 
 
 def test_weight2_witness_for_odd_exponent():

@@ -542,6 +542,14 @@ def test_gcd_chain_rejects_wrong_h():
         gcd_chain_check(5)
 
 
+def test_gcd_chain_refuses_a_gcd_other_than_two(monkeypatch):
+    import cyc3.conditions
+
+    monkeypatch.setattr(cyc3.conditions, "open_problem_exponent", lambda m: (1, 8))
+    with pytest.raises(RuntimeError, match=r"gcd\(3\^1\+5, 3\^4-1\) = 8, expected 2"):
+        gcd_chain_check(4)
+
+
 def test_open_problem_exponents():
     assert open_problem_exponent(4) == (2, 14)
     assert open_problem_exponent(6) == (4, 86)

@@ -146,6 +146,19 @@ def test_size_law_for_gcd_two_exponents(m):
     assert report.checked > 0
 
 
+def test_size_law_lists_a_coset_of_the_wrong_size(monkeypatch):
+    real = cosets.coset
+
+    def short_at_14(e, p, m):
+        c = real(e, p, m)
+        return c._replace(members=c.members[:-1]) if e == 14 else c
+
+    monkeypatch.setattr(cosets, "coset", short_at_14)
+    report = coset_size_law_check(3, 4)
+    assert report.violations == (14,)
+    assert report.checked > 1
+
+
 def test_size_law_other_characteristic():
     report = coset_size_law_check(5, 2)
     assert report.violations == ()

@@ -253,6 +253,42 @@ def test_frobenius_power_refuses_degenerate_moduli():
         frobenius_power(X, -1, X ** 2 + ONE)
 
 
+# frobenius_power's guards are in the test above
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: powmod(X, 2, Poly.zero()), ZeroDivisionError, "zero modulus"),
+        (lambda: powmod(X, 2, Poly((2,))), ValueError, "degree >= 1"),
+        (lambda: powmod(X, -1, X**2 + ONE), ValueError, "nonnegative"),
+        (lambda: X**-1, ValueError, "nonnegative int"),
+        (lambda: X**1.5, ValueError, "nonnegative int"),
+        (lambda: Poly().monic(), ValueError, "no monic form"),
+        (lambda: squarefree_decomposition(-X), ValueError, "monic"),
+        (lambda: roots_in_extension(ONE, 4), ValueError, "degree"),
+        (lambda: roots_in_extension(X, 0), ValueError, "m must be"),
+        (lambda: prime_factors(0), ValueError, "positive"),
+        (lambda: is_irreducible(ONE), ValueError, "degree >= 1"),
+        (lambda: next(monic_polys(-1)), ValueError, "nonnegative"),
+        (lambda: X + 1, TypeError, r"for \+:"),
+        (lambda: X - 1, TypeError, "for -:"),
+        (lambda: X % 1, TypeError, "for %:"),
+        (lambda: X // 1, TypeError, "for //:"),
+        (lambda: divmod(X, 1), TypeError, r"for divmod\(\):"),
+        (lambda: X < 1, TypeError, "'<' not supported"),
+    ],
+    ids=[
+        "powmod-zero-modulus", "powmod-constant-modulus", "powmod-negative-exponent",
+        "pow-negative", "pow-float", "monic-of-zero", "squarefree-non-monic",
+        "roots-of-constant", "roots-at-m0", "prime-factors-of-0",
+        "irreducible-constant", "monic-polys-negative", "add-int", "sub-int",
+        "mod-int", "floordiv-int", "divmod-int", "lt-int",
+    ],
+)
+def test_argument_guards(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_comparison_orders_by_degree_then_coeffs():
     assert Poly.zero() < ONE < X
     assert X ** 2 < X ** 2 + ONE

@@ -200,6 +200,37 @@ def test_factorization_check_detects_tampered_fixture():
     assert not factorization_check("control-mult", lhs, tampered).passed
 
 
+@pytest.mark.parametrize(
+    "lhs, fixture, unit, detail",
+    [
+        (
+            "2x+1",
+            (("2x+1", 1),),
+            2,
+            "fixture factor -x+1 is not monic; "
+            "monic lhs differs from fixture product by -x+1; "
+            "factor engine disagrees with fixture: engine=[('x-1', 1)]",
+        ),
+        (
+            "x^3-x",
+            (("x^3-x", 1),),
+            1,
+            "fixture factor x^3-x is reducible; "
+            "subfield bridge broken for x^3-x at m=4; "
+            "subfield bridge broken for x^3-x at m=8; "
+            "subfield bridge broken for x^3-x at m=10; "
+            "factor engine disagrees with fixture: "
+            "engine=[('x', 1), ('x+1', 1), ('x-1', 1)]",
+        ),
+        ("0", (("x+1", 1),), None, "left-hand side is zero"),
+    ],
+    ids=["non-monic-factor", "reducible-factor", "zero-lhs"],
+)
+def test_factorization_check_reports_each_problem(lhs, fixture, unit, detail):
+    check = factorization_check("control", parse_poly(lhs), fixture)
+    assert (check.status, check.unit, check.detail) == ("fail", unit, detail)
+
+
 def test_bridge_degrees_separate_factors():
     """Each frozen irreducible has roots exactly in the extensions its
     degree divides, over the degrees the codes actually live in."""
