@@ -398,7 +398,7 @@ def _cmd_search(args):
     # n - 1 = 1 at m = 1, so the default range is then 1..1, with no even e
     lo, hi = args.e_range if args.e_range else (min(2, n - 1), n - 1)
     if not 1 <= lo <= hi <= n - 1:
-        raise ValueError(f"e-range must lie within [1, {n - 1}]")
+        raise ValueError(f"e-range A..B needs 1 <= A <= B <= {n - 1}, got {lo}..{hi}")
     field.check_tables()  # before the walk marks n exponents
     # no even e is conjugate to 1: n is even, so e's coset holds only even
     # numbers.  Scanned in ascending order, the optimal leaders come sorted

@@ -77,7 +77,8 @@ def build_code(field: Field, e: int) -> CodeSpec:
 
 def parity_check_columns(field: Field, e: int) -> list[tuple[Poly, Poly]]:
     """Column j = (alpha^j, alpha^(ej)) for j in [0, n), stepped by
-    multiplication rather than read from the tables."""
+    multiplication from powmod's alpha and alpha^e rather than read from
+    the tables."""
     mod = field.modulus
     alpha, alpha_e = field.exp_of_generator(1), field.exp_of_generator(e)
     a = b = field.one
@@ -90,11 +91,16 @@ def parity_check_columns(field: Field, e: int) -> list[tuple[Poly, Poly]]:
 
 
 def syndrome(field: Field, e: int, positions, values) -> tuple[Poly, Poly]:
-    """The two syndrome sums of a sparse word given as positions/values."""
+    """The two syndrome sums of a sparse word given as positions/values.
+
+    The powers are read off the exp table, not the Zech table the weight
+    search solves with; an m without tables is refused (ValueError) by
+    field.tables()."""
+    exp, n = field.tables()[0], field.order
     s1 = s2 = field.zero
     for pos, val in zip(positions, values):
-        s1 += field.exp_of_generator(pos) * val
-        s2 += field.exp_of_generator(e * pos) * val
+        s1 += field.decode(exp[pos % n]) * val
+        s2 += field.decode(exp[e * pos % n]) * val
     return s1, s2
 
 

@@ -125,9 +125,10 @@ def minimal_polynomial(field: Field, i: int) -> Poly:
 
     Computed as the product of (x - conjugate) over the Frobenius orbit of
     generator**i, found by cubing it until it returns, with coefficients
-    verified to land in the base field.  The orbit is walked in the field,
-    not read from coset(), so the degree (and build_code's conjugacy test
-    and dimension) is a route independent of the coset facts.
+    verified to land in the base field.  generator**i comes from powmod and
+    the orbit is walked in the field, read neither from the tables nor from
+    coset(), so the degree (and build_code's conjugacy test and dimension)
+    is a route independent of the table scans and the coset facts.
     """
     # product over conjugates, with coefficients in the field
     mod = field.modulus

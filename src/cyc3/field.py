@@ -20,7 +20,9 @@ scan that needs them is refused through check_tables().  The Zech table
 turns addition of two generator powers into integer index arithmetic:
 alpha^u + alpha^v = alpha^(u + zech[(v-u) mod n]), with a -1 sentinel where
 the sum is zero.  That is what makes the condition scans and the weight
-search fast enough in pure Python.
+search fast enough in pure Python.  Only those scans, and the syndrome
+that confirms the search's witnesses, read the tables: exp_of_generator
+computes alpha^i by powmod whether or not they are built.
 
 The tables are `array('i')`: an entry is a C int, where a list entry is a
 pointer to an int object of its own, so they take a fraction of a list's
@@ -101,11 +103,8 @@ class Field:
     # -- elements ------------------------------------------------------------
 
     def exp_of_generator(self, i: int) -> Poly:
-        """alpha^i: a table lookup once the tables are built, else powmod."""
-        i %= self.order
-        if self._exp is not None:
-            return self.decode(self._exp[i])
-        return powmod(self._alpha, i, self.modulus)
+        """alpha^i by powmod, whether or not the tables are built."""
+        return powmod(self._alpha, i % self.order, self.modulus)
 
     def elements(self):
         """All 3^m elements, in code order."""

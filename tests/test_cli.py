@@ -651,8 +651,16 @@ def test_search_at_m1_answers_with_the_default_range(capsys):
 
 
 def test_search_bad_range(capsys):
-    code, _, err = run_cli(capsys, "search", "--m", "4", "--e-range", "0..200")
-    assert code == 2
+    code, out, err = run_cli(capsys, "search", "--m", "4", "--e-range", "0..200")
+    assert (code, out) == (2, "")
+    assert err == "error: e-range A..B needs 1 <= A <= B <= 79, got 0..200\n"
+
+
+def test_search_reversed_range_names_the_order_it_needs(capsys):
+    # both ends lie within [1, 79], so the message names the order too
+    code, out, err = run_cli(capsys, "search", "--m", "4", "--e-range", "3..2")
+    assert (code, out) == (2, "")
+    assert err == "error: e-range A..B needs 1 <= A <= B <= 79, got 3..2\n"
 
 
 @pytest.mark.parametrize("m", [11, 12])

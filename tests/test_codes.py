@@ -18,7 +18,7 @@ from cyc3.codes import (
     syndrome,
 )
 from cyc3.cosets import coset, minimal_polynomial
-from cyc3.field import build_field
+from cyc3.field import Field, build_field
 from cyc3.gf3poly import Poly, powmod
 
 f4 = build_field(4)
@@ -154,6 +154,31 @@ def test_search_size_guard():
     with pytest.raises(ValueError) as exc:
         min_weight_leq3_search(build_field(13), 14)
     assert "m <= 12" in str(exc.value)
+
+
+def test_syndrome_above_the_table_cap_is_refused_building_nothing():
+    # syndrome reads the exp table, which exists only up to the cap
+    field = Field(13)
+    with pytest.raises(ValueError) as exc:
+        syndrome(field, 4, (0,), (1,))
+    assert "m <= 12" in str(exc.value)
+    assert field._exp is None and field._zech is None
+
+
+def test_table_free_routes_ignore_the_tables():
+    # with a corrupted exp table in place, alpha^i, the minimal polynomials,
+    # the generator and the parity-check columns match a field that never
+    # built tables: none of them reads the tables
+    field, fresh = Field(5), Field(5)
+    exp, _ = field.tables()
+    field._exp = exp[1:] + exp[:1]
+    for i in (1, 7, 100):
+        assert field.exp_of_generator(i) == fresh.exp_of_generator(i)
+    for i in (1, 7, 14):
+        assert minimal_polynomial(field, i) == minimal_polynomial(fresh, i)
+    assert build_code(field, 14).generator == build_code(fresh, 14).generator
+    assert parity_check_columns(field, 14)[:20] == parity_check_columns(fresh, 14)[:20]
+    assert fresh._exp is None
 
 
 def _brute_force_light_word(field, e):

@@ -1,6 +1,7 @@
 """What a fresh process loads: the package imports its submodules on first
-use, and `verify` and `family` load neither `codes`, `identities`,
-`dataclasses` nor `csv`.  Each check runs in its own interpreter, since the
+use, each submodule loads only its pinned closure within the package, and
+`verify` and `family` load neither `codes`, `identities`, `dataclasses` nor
+`csv`.  Each check runs in its own interpreter, since the
 test process has long since imported everything."""
 
 import json
@@ -8,6 +9,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import cyc3
 
@@ -86,3 +89,28 @@ def test_no_submodule_loads_dataclasses():
     )
     assert {f"cyc3.{name}" for name in SUBMODULES} <= set(got)
     assert "dataclasses" not in got
+
+
+# each submodule's import closure within the package: the table-free
+# modules (gf3poly, identities) load no field, and no module loads more
+# than it uses
+IMPORT_CLOSURES = {
+    "gf3poly": set(),
+    "field": {"gf3poly"},
+    "cosets": {"field", "gf3poly"},
+    "conditions": {"cosets", "field", "gf3poly"},
+    "codes": {"cosets", "field", "gf3poly"},
+    "identities": {"gf3poly"},
+    "cli": {"conditions", "cosets", "field", "gf3poly"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(IMPORT_CLOSURES))
+def test_each_submodule_loads_only_its_import_closure(name):
+    got = run_fresh(
+        "import importlib, json, sys\n"
+        f"importlib.import_module('cyc3.{name}')\n"
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    loaded = {m[len("cyc3."):] for m in got if m.startswith("cyc3.")}
+    assert loaded - {name} == IMPORT_CLOSURES[name]

@@ -53,7 +53,6 @@ f4 = build_field(4)
 
 elements4 = st.integers(min_value=0, max_value=80).map(f4.decode)
 nonzero4 = st.integers(min_value=1, max_value=80).map(f4.decode)
-f4_no_tables = Field(4)  # exp_of_generator falls back to powmod here
 exponents = st.integers(min_value=0, max_value=200)
 
 
@@ -207,11 +206,10 @@ def test_multiplicative_inverse(a):
 
 @given(exponents)
 def test_pow_agrees_with_generic(e):
-    # the table lookup and the table-free powmod fallback agree
-    f4.tables()
-    assert f4_no_tables._exp is None
-    assert f4.exp_of_generator(e) == f4_no_tables.exp_of_generator(e)
-    assert f4_no_tables.exp_of_generator(e) == powmod(Poly.x(), e, f4.modulus)
+    # the exp table entry, exp_of_generator and powmod of x agree
+    table_power = f4.decode(f4.tables()[0][e % f4.order])
+    assert table_power == f4.exp_of_generator(e)
+    assert f4.exp_of_generator(e) == powmod(Poly.x(), e, f4.modulus)
 
 
 @given(elements4)
@@ -230,15 +228,13 @@ def test_frobenius_additive(a, b):
 
 
 def test_pow_empty_cases():
-    for field in (f4, f4_no_tables):
-        assert field.exp_of_generator(0) == field.one
-        assert field.exp_of_generator(field.order) == field.one
+    assert f4.exp_of_generator(0) == f4.one
+    assert f4.exp_of_generator(f4.order) == f4.one
 
 
 def test_pow_reduces_exponent_mod_order():
-    for field in (f4, f4_no_tables):
-        assert field.exp_of_generator(field.order + 7) == field.exp_of_generator(7)
-        assert mul4(field.exp_of_generator(-1), Poly.x()) == field.one
+    assert f4.exp_of_generator(f4.order + 7) == f4.exp_of_generator(7)
+    assert mul4(f4.exp_of_generator(-1), Poly.x()) == f4.one
 
 
 def test_elements_enumeration():
@@ -315,11 +311,10 @@ def test_format_element_of_encode_lists_the_coefficients(coeffs):
 def test_log_exp_round_trip():
     # exp is a bijection onto the nonzero codes, so every nonzero element
     # has exactly one logarithm and the test-side inverse undoes exp; each
-    # entry decodes to the power of the generator of a field without tables
+    # entry decodes to the power of powmod's generator
     for m in range(1, 9):
         field = build_field(m)
-        plain = Field(m, field.modulus)
-        alpha, power = plain.exp_of_generator(1), plain.one
+        alpha, power = field.exp_of_generator(1), field.one
         exp, _ = field.tables()
         assert len(exp) == field.order
         assert sorted(exp) == list(range(1, 3**m)), m
@@ -328,8 +323,8 @@ def test_log_exp_round_trip():
         for i in range(field.order):
             assert log[exp[i]] == i
             assert field.decode(exp[i]) == power
-            power = power * alpha % plain.modulus
-        assert power == plain.one and plain._exp is None
+            power = power * alpha % field.modulus
+        assert power == field.one
         assert log[field.encode(field.one)] == 0
         assert log[field.encode(Poly.x() % field.modulus)] == 1 % field.order
 
@@ -350,7 +345,7 @@ def test_log_of_zero():
 def _check_tables_against_generic_powers(field):
     # every entry of exp and zech from plain polynomial arithmetic: the
     # powers come from square-and-multiply, the logs from their positions
-    alpha = Field(field.m, field.modulus).exp_of_generator(1)  # no tables
+    alpha = field.exp_of_generator(1)  # powmod, never the tables
     exp, zech = field.tables()
     n = field.order
     powers = [powmod(alpha, i, field.modulus) for i in range(n)]

@@ -236,7 +236,7 @@ def test_bridge_degrees_separate_factors():
     degree divides, over the degrees the codes actually live in."""
     for poly_text, _ in FIXED_POINT_DIFFERENCE + NINTH_POWER_SUM:
         p = parse_poly(poly_text)
-        for m in (4, 6, 8, 10, 12):
+        for m in identities.BRIDGE_DEGREES:
             assert roots_in_extension(p, m) == (m % p.degree == 0)
 
 
