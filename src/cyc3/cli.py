@@ -28,7 +28,7 @@ import time
 
 from . import __version__, conditions
 from .conditions import FAMILIES, ConditionReport, verify_family, verify_optimal
-from .cosets import coset, cosets_meeting, minimal_polynomial
+from .cosets import coset, minimal_polynomial
 from .field import build_field
 from .gf3poly import factor, parse_poly, prime_factors
 
@@ -45,7 +45,7 @@ def _csv_row(payload: dict) -> dict[str, str]:
     row = {}
     for key, value in payload.items():
         if key == "parameters":
-            value = value or dict.fromkeys("nkd")
+            value = value or dict.fromkeys(conditions.PARAMETER_KEYS)
         if isinstance(value, dict):
             row.update(_csv_row(value))
         elif value is None:
@@ -399,24 +399,16 @@ def _cmd_search(args):
     lo, hi = args.e_range if args.e_range else (min(2, n - 1), n - 1)
     if not 1 <= lo <= hi <= n - 1:
         raise ValueError(f"e-range A..B needs 1 <= A <= B <= {n - 1}, got {lo}..{hi}")
-    field.check_tables()  # before the walk marks n exponents
-    # no even e is conjugate to 1: n is even, so e's coset holds only even
-    # numbers.  Scanned in ascending order, the optimal leaders come sorted
-    evens = range(lo + lo % 2, hi + 1, 2)
-    leaders = sorted(cos.leader for cos in cosets_meeting(evens, 3, args.m))
-    reports = conditions.verify_sweep(
-        [(args.m, e, None) for e in leaders],
-        f"search over e in [{lo}, {hi}] at m={args.m}",
-        "exponent classes",
-        "narrower --e-range A..B",
-    )
+    # one report per class leader, ascending, so the optimal leaders come
+    # sorted
+    reports = conditions.verify_search(field, lo, hi)
     optimal = [rep for rep in reports if rep.verdict == "optimal"]
     payload = _wrap(
         "search",
         {
             "m": args.m,
             "eRange": [lo, hi],
-            "evaluatedCosetLeaders": len(leaders),
+            "evaluatedCosetLeaders": len(reports),
             "optimal": [
                 {"e": r.e, "h": r.h, "parameters": r.parameters_json}
                 for r in optimal
@@ -426,7 +418,7 @@ def _cmd_search(args):
     )
     text = [
         f"search over even e in [{lo}, {hi}] at m={args.m} "
-        f"({len(leaders)} coset leaders evaluated):"
+        f"({len(reports)} coset leaders evaluated):"
     ]
     for rep in optimal:
         h = f" (e = 3^{rep.h}+5)" if rep.h is not None else ""
@@ -442,6 +434,11 @@ def _parse_m_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad m-list {text!r}")
     if not ms:
         raise argparse.ArgumentTypeError(f"m-list {text!r} names no m")
+    seen = set()
+    for m in ms:
+        if m in seen:
+            raise argparse.ArgumentTypeError(f"m-list repeats m={m}")
+        seen.add(m)
     return ms
 
 

@@ -147,14 +147,13 @@ def min_weight_leq3_search(field: Field, e: int) -> WeightWitness:
     n = field.order
     _, zech = field.tables()
     half = n // 2
-    emod = e % n
 
     # Weight 1: a single scaled column is never zero, so nothing to scan.
 
     # Weight 2: lam1*col_i + lam2*col_j = 0 forces (first coordinates)
     # alpha^(j-i) = -lam1/lam2, a base-field value, so j = i + n/2 and
     # lam1 = lam2; the second coordinates then need alpha^(e*n/2) = -1.
-    if emod * half % n == half:
+    if e * half % n == half:
         positions, values = (0, half), (1, 1)
         _confirm_witness(field, e, positions, values)
         return WeightWitness("found", positions, values)
@@ -181,13 +180,11 @@ def min_weight_leq3_search(field: Field, e: int) -> WeightWitness:
     # entry at ej + half mod n through negative indexing.
     ej = 0
     for j in range(1, n // 3 + 1):
-        ej += emod
+        ej += e
         if ej >= n:
             ej -= n
         same, other = zech[j], zech[j + half]
-        if (same * emod - zech[ej]) % half and (
-            (other * emod - zech[ej - half]) % half
-        ):
+        if (same * e - zech[ej]) % half and (other * e - zech[ej - half]) % half:
             continue  # no hit at any (lam1, lam2)
         # (lam1, lam2) = (1, 1), (1, 2), (2, 1), (2, 2)
         for o1, o2, z1 in (
@@ -199,7 +196,7 @@ def min_weight_leq3_search(field: Field, e: int) -> WeightWitness:
             d2 = (ej + o2 - o1) % n
             if d2 == half:
                 continue  # second coordinates cancel
-            if k * emod % n == (o1 + zech[d2] + half) % n:
+            if k * e % n == (o1 + zech[d2] + half) % n:
                 lam1 = 1 if o1 == 0 else 2
                 lam2 = 1 if o2 == 0 else 2
                 # scale by lam1^-1 = lam1 so the first value is 1

@@ -65,16 +65,21 @@ import math
 from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
-from .cosets import coset
+from .cosets import coset, cosets_meeting
 from .field import Field, build_field
 from .gf3poly import powmod
 
-# the most orbit points one `verify_sweep`, so one `search` or `family`
-# run, may test, read at call time.  On a 2-core host the whole group at
-# m = 10 (8.9 M points) took 1.9-3.0 s, at m = 11 (65 M) 14.5-19.8 s, and
-# 137 M points at m = 12 took 49 s; 20 M keeps a run well inside the 20 s
-# budget with room for the host's drift
+# the most orbit points one `search` run may test, read by verify_search
+# at call time.  On a 2-core host the whole group at m = 10 (8.9 M points)
+# took 1.9-3.0 s, at m = 11 (65 M) 14.5-19.8 s, and 137 M points at
+# m = 12 took 49 s; 20 M keeps a run well inside the 20 s budget with room
+# for the host's drift.  `family` needs no budget: its m-list names each m
+# once, and the largest list the table cap admits tests 98,092 points
 MAX_ORBIT_POINTS = 20_000_000
+
+# the keys of a parameters object {n, k, d}, in print order: the JSON
+# object and csv-row's cells, empty for a null one, both read them
+PARAMETER_KEYS = ("n", "k", "d")
 
 # the exponent families `family_instances` lists, in CLI order
 FAMILIES = ("open-problem", "concl-A", "concl-B", "concl-C")
@@ -105,7 +110,7 @@ class ConditionReport(NamedTuple):
     def parameters_json(self) -> dict[str, int] | None:
         """The parameters as the JSON object {n, k, d}, or None: the one
         layout to_json_dict and `search`'s optimal entries both print."""
-        return None if self.parameters is None else dict(zip("nkd", self.parameters))
+        return self.parameters and dict(zip(PARAMETER_KEYS, self.parameters))
 
     def to_json_dict(self, field: Field) -> dict:
         return {
@@ -165,15 +170,14 @@ def _solutions_table(field: Field, e: int) -> tuple[tuple[int, ...], tuple[int, 
     exp, zech = field.tables()
     n = field.order
     half = n // 2
-    emod = e % n
     c2 = [0]  # x = 0: (0+1)^e - 0 - 1 = 0 always
     c3 = []
     # x = -1 solves both iff e is odd: 0 +- ((-1)^e + 1)
-    if emod * half % n == half:
+    if e * half % n == half:
         c2.append(exp[half])
         c3.append(exp[half])
     for i, zi in pairs:
-        ie = i * emod % n
+        ie = i * e % n
         # (x+1)^e = alpha^lhs, lhs = zi * e mod n; x^e + 1 = alpha^rhs;
         # -1 = alpha^half.  diff = lhs - rhs mod n, and |lhs - rhs| < n, so
         # half | diff leaves lhs - rhs = 0, a c2 hit, or +-half, a c3 hit.
@@ -181,7 +185,7 @@ def _solutions_table(field: Field, e: int) -> tuple[tuple[int, ...], tuple[int, 
         # ZECH_ZERO = -1; half | diff would then need zi * e = -1 mod half,
         # so e prime to half, and i * e = half = 0 mod half would put i at
         # 0 or half, where ie is 0 or i is no leader: no skip is needed
-        diff = zi * emod - zech[ie]
+        diff = zi * e - zech[ie]
         if diff % half:
             continue
         hits = c3 if diff % n else c2
@@ -338,33 +342,39 @@ def family_instances(name: str, ms: list[int]) -> list[FamilyInstance]:
     return out
 
 
-def verify_sweep(
-    instances: list[tuple[int, int, int | None]], subject: str, unit: str, fix: str
-) -> list[ConditionReport]:
-    """verify_optimal over (m, e, h) instances, reported in list order.
-    Every listed instance counts (3^m - 1) // (2m) + 1 orbit points, about
-    one per orbit of <3, -1>, repeats included, and a list past
-    MAX_ORBIT_POINTS is refused before any table is built; each listed
-    instance is then scanned, so the count is the work that runs."""
-    points = sum((3**m - 1) // (2 * m) + 1 for m, _, _ in instances)
-    if points > MAX_ORBIT_POINTS:
-        raise ValueError(
-            f"{subject} would test {points:,} orbit points over "
-            f"{len(instances):,} {unit}, past the budget of "
-            f"{MAX_ORBIT_POINTS:,}; give a {fix}"
-        )
-    return [verify_optimal(build_field(m), e, h) for m, e, h in instances]
-
-
 def verify_family(
     name: str, ms: list[int]
 ) -> list[tuple[FamilyInstance, ConditionReport]]:
-    """verify_sweep over the instances of a family.  An m without tables
-    is refused before any table is built or instance listed, whose 3^h
-    never ends for an m far past the cap."""
+    """verify_optimal over the instances of a family, in list order.  An m
+    without tables is refused before any table is built or instance
+    listed, whose 3^h never ends for an m far past the cap.  No budget is
+    needed: the CLI's m-list names each m once, so every instance is
+    distinct, and the largest list the cap admits (concl-C over 5, 7, 11)
+    tests 98,092 orbit points."""
     for m in ms:
         build_field(m).check_tables()
     instances = family_instances(name, ms)
-    sweep = [(inst.m, inst.e, inst.h) for inst in instances]
-    reports = verify_sweep(sweep, f"family {name}", "instances", "shorter m-list")
-    return list(zip(instances, reports))
+    return [(i, verify_optimal(build_field(i.m), i.e, i.h)) for i in instances]
+
+
+def verify_search(field: Field, lo: int, hi: int) -> list[ConditionReport]:
+    """verify_optimal on the leader of every exponent class that meets the
+    even e in [lo, hi], in ascending leader order.  An m without tables is
+    refused before the class walk marks n exponents.  Every class counts
+    (3^m - 1) // (2m) + 1 orbit points, about one per orbit of <3, -1>, and
+    a list past MAX_ORBIT_POINTS is refused before any table is built;
+    each listed class is then scanned once, so the count is the work that
+    runs."""
+    field.check_tables()
+    # no even e is conjugate to 1: n is even, so e's coset holds only even
+    # numbers
+    evens = range(lo + lo % 2, hi + 1, 2)
+    leaders = sorted(cos.leader for cos in cosets_meeting(evens, 3, field.m))
+    points = len(leaders) * (field.order // (2 * field.m) + 1)
+    if points > MAX_ORBIT_POINTS:
+        raise ValueError(
+            f"search over e in [{lo}, {hi}] at m={field.m} would test {points:,} "
+            f"orbit points over {len(leaders):,} exponent classes, past the "
+            f"budget of {MAX_ORBIT_POINTS:,}; give a narrower --e-range A..B"
+        )
+    return [verify_optimal(field, e) for e in leaders]

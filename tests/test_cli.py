@@ -313,11 +313,10 @@ def test_malformed_m_list_and_e_range_are_usage_errors(capsys, argv, err):
     assert out.err.endswith(f"cyc3 {argv[0]}: error: {err}\n")
 
 
-def test_family_past_the_orbit_budget_is_refused_before_any_table(
-    capsys, monkeypatch
-):
-    # m = 4 counts 80 // 8 + 1 = 11 orbit points an instance: with room for
-    # three, a list of three answers and a list of four builds nothing
+def test_family_refuses_a_repeated_m_before_any_table(capsys, monkeypatch):
+    # a repeat adds no report the first copy did not give, so it is a usage
+    # error like an empty list; 904 twelves are refused at once, and the
+    # message names the m, not the list
     tables = Field.tables
     built = []
 
@@ -325,26 +324,24 @@ def test_family_past_the_orbit_budget_is_refused_before_any_table(
         built.append(self.m)
         return tables(self)
 
-    monkeypatch.setattr(cyc3.conditions, "MAX_ORBIT_POINTS", 33)
     monkeypatch.setattr(Field, "tables", counting_tables)
-    code, out, err = run_cli(
-        capsys, "family", "--name", "open-problem", "--m-list", "4,4,4,4"
-    )
-    assert (code, out, built) == (2, "", [])
-    assert err == (
-        "error: family open-problem would test 44 orbit points over 4 "
-        "instances, past the budget of 33; give a shorter m-list\n"
-    )
-    code, out, err = run_cli(
-        capsys, "family", "--name", "open-problem", "--m-list", "4,4,4"
-    )
-    assert (code, err) == (0, "")
-    assert "optimal: 3 of 3" in out and built
+    for m_list, m in (("4,6,4", 4), (",".join(["12"] * 904), 12)):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["family", "--name", "open-problem", "--m-list", m_list])
+        assert time.perf_counter() - start < 1
+        out = capsys.readouterr()
+        assert (exc.value.code, out.out, built) == (2, "", [])
+        assert out.err.startswith("usage: cyc3 ")
+        assert out.err.endswith(
+            f"cyc3 family: error: argument --m-list: m-list repeats m={m}\n"
+        )
 
 
 def test_family_scans_every_listed_instance_in_order(capsys, monkeypatch):
-    # 4,6,4,4 lists four instances, the budget counts four, and four scans
-    # run; every reported instance is the report a fresh verify_optimal gives
+    # 6,4,8 lists three distinct instances and three scans run, in list
+    # order; every reported instance is the report a fresh verify_optimal
+    # gives
     solutions_table = cyc3.conditions._solutions_table
     scanned = []
 
@@ -354,13 +351,13 @@ def test_family_scans_every_listed_instance_in_order(capsys, monkeypatch):
 
     monkeypatch.setattr(cyc3.conditions, "_solutions_table", counting_table)
     code, out, err = run_cli(
-        capsys, "family", "--name", "open-problem", "--m-list", "4,6,4,4",
+        capsys, "family", "--name", "open-problem", "--m-list", "6,4,8",
         "--format", "json",
     )
     assert (code, err) == (0, "")
-    assert scanned == [(4, 14), (6, 86), (4, 14), (4, 14)]
+    assert scanned == [(6, 86), (4, 14), (8, 86)]
     reports = [inst["report"] for inst in json.loads(out)["instances"]]
-    assert [r["m"] for r in reports] == [4, 6, 4, 4]
+    assert [r["m"] for r in reports] == [6, 4, 8]
     for r in reports:
         field = build_field(r["m"])
         fresh = verify_optimal(field, r["e"], r["h"]).to_json_dict(field)
@@ -734,17 +731,20 @@ def test_search_budget_counts_the_classes_it_scans(capsys, monkeypatch):
 
 
 def test_readme_quotes_the_budget_refusals(capsys):
-    # the README quotes these two refusals word for word
+    # the README quotes the search refusal and the error line of the
+    # repeated-m refusal word for word
     path = Path(__file__).resolve().parents[1] / "README.md"
     readme = " ".join(path.read_text(encoding="utf-8").split())
-    for argv in (
-        ["search", "--m", "12", "--e-range", "2..20000"],
-        ["family", "--name", "open-problem", "--m-list", ",".join(["12"] * 904)],
-    ):
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (2, "")
-        for line in err.splitlines():
-            assert " ".join(line.split()) in readme, line
+    code, out, err = run_cli(capsys, "search", "--m", "12", "--e-range", "2..20000")
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    with pytest.raises(SystemExit) as exc:
+        main(["family", "--name", "open-problem", "--m-list", ",".join(["12"] * 904)])
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "")
+    lines.append(out.err.splitlines()[-1])
+    for line in lines:
+        assert " ".join(line.split()) in readme, line
 
 
 def test_ranged_search_at_m12_answers(capsys):

@@ -18,6 +18,7 @@ from cyc3.codes import (
 from cyc3.conditions import (
     FAMILIES,
     FAMILY_C_READINGS,
+    MAX_ORBIT_POINTS,
     _FIELD_SCAN_DATA,
     FamilyInstance,
     _congruence_hits,
@@ -34,7 +35,7 @@ from cyc3.conditions import (
     verify_optimal,
 )
 from cyc3.cosets import coset, cosets_meeting, cosets_partition
-from cyc3.field import ZECH_ZERO, Field, build_field
+from cyc3.field import LOG_TABLE_MAX_DEGREE, ZECH_ZERO, Field, build_field
 from cyc3.gf3poly import Poly, parse_poly, powmod
 
 f4 = build_field(4)
@@ -684,6 +685,24 @@ def test_verify_family_refuses_past_the_cap_before_any_table(monkeypatch):
 def test_verify_family_unknown_name():
     with pytest.raises(ValueError):
         verify_family("concl-Z", [5])
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_family_needs_no_orbit_budget_under_the_table_cap(name):
+    # `family` scans every instance of its m-list unbudgeted: an m-list
+    # names each m once, so the most it can scan is one copy of every m the
+    # table cap admits.  A cap raise that takes that past the budget
+    # `search` is held to fails here
+    ms = []
+    for m in range(1, LOG_TABLE_MAX_DEGREE + 1):
+        try:
+            family_instances(name, [m])
+        except ValueError:
+            continue
+        ms.append(m)
+    instances = family_instances(name, ms)
+    points = sum((3**i.m - 1) // (2 * i.m) + 1 for i in instances)
+    assert ms and points < MAX_ORBIT_POINTS
 
 
 @pytest.mark.parametrize("m,count", [(4, 32), (5, 120), (6, 336), (7, 1092)])
