@@ -33,10 +33,6 @@ from .field import build_field
 from .gf3poly import factor, parse_poly, prime_factors
 
 
-def _bool_text(b: bool) -> str:
-    return "true" if b else "false"
-
-
 def _csv_row(payload: dict) -> dict[str, str]:
     """A JSON object, as emitted, flattened into csv cells: a nested object
     spreads into its own keys (`parameters` into n, k, d, all empty when it
@@ -51,7 +47,7 @@ def _csv_row(payload: dict) -> dict[str, str]:
         elif value is None:
             row[key] = ""
         elif isinstance(value, bool):
-            row[key] = _bool_text(value)
+            row[key] = json.dumps(value)
         elif isinstance(value, list):
             row[key] = "|".join(value)
         else:
@@ -79,13 +75,10 @@ def _report_text_lines(report: ConditionReport, field) -> list[str]:
     return lines
 
 
-def _wrap(command: str, body: dict) -> dict:
-    return {"command": command, "artifactVersion": __version__, **body}
-
-
-# each handler returns (exit_code, json_payload, text_lines); csv-row output
-# is the json payload flattened (_emit).  verify builds only what its
-# --format prints and leaves the other None
+# each handler returns (exit_code, json_payload, text_lines); _emit adds the
+# command name and artifact version to the json payload, and csv-row output
+# is the payload flattened.  verify builds only what its --format prints
+# and leaves the other None
 
 
 def _cmd_field_info(args):
@@ -95,40 +88,34 @@ def _cmd_field_info(args):
     # the half-code table (tens of MiB at m = 20) for this one element
     generator = ",".join(map(str, field.gen))
     log_tables = field.has_tables
-    payload = _wrap(
-        "field-info",
-        {
-            "m": field.m,
-            "order": field.order,
-            "modulus": field.modulus.format(),
-            "generator": generator,
-            "orderPrimeFactors": list(primes),
-            "logTables": log_tables,
-        },
-    )
+    payload = {
+        "m": field.m,
+        "order": field.order,
+        "modulus": field.modulus.format(),
+        "generator": generator,
+        "orderPrimeFactors": list(primes),
+        "logTables": log_tables,
+    }
     text = [
         f"GF(3^{field.m}): order of multiplicative group = {field.order}",
         f"modulus: {field.modulus.format()}",
         f"generator: {generator}",
         f"prime factors of the order: {', '.join(map(str, primes))}",
-        f"log/Zech tables available: {_bool_text(log_tables)}",
+        f"log/Zech tables available: {json.dumps(log_tables)}",
     ]
     return 0, payload, text
 
 
 def _cmd_coset(args):
     c = coset(args.j, args.p, args.m)
-    payload = _wrap(
-        "coset",
-        {
-            "p": c.p,
-            "m": c.m,
-            "j": args.j,
-            "leader": c.leader,
-            "size": c.size,
-            "members": list(c.members),
-        },
-    )
+    payload = {
+        "p": c.p,
+        "m": c.m,
+        "j": args.j,
+        "leader": c.leader,
+        "size": c.size,
+        "members": list(c.members),
+    }
     text = [
         f"coset of {args.j} under multiplication by {args.p} mod {args.p}^{args.m}-1:",
         f"leader = {c.leader}, size = {c.size}",
@@ -141,17 +128,14 @@ def _cmd_minpoly(args):
     field = build_field(args.m)
     c = coset(args.i, 3, args.m)
     poly = minimal_polynomial(field, args.i)
-    payload = _wrap(
-        "minpoly",
-        {
-            "m": args.m,
-            "i": args.i,
-            "cosetLeader": c.leader,
-            "degree": poly.degree,
-            "poly": poly.format(),
-            "modulus": field.modulus.format(),
-        },
-    )
+    payload = {
+        "m": args.m,
+        "i": args.i,
+        "cosetLeader": c.leader,
+        "degree": poly.degree,
+        "poly": poly.format(),
+        "modulus": field.modulus.format(),
+    }
     text = [
         f"minimal polynomial of generator^{args.i} over GF(3), m = {args.m}:",
         f"{poly.format()}",
@@ -166,18 +150,15 @@ def _cmd_code(args):
 
     field = build_field(args.m)
     spec = build_code(field, args.e)
-    payload = _wrap(
-        "code",
-        {
-            "m": spec.m,
-            "e": spec.e,
-            "n": spec.n,
-            "k": spec.k,
-            "generatorDegree": spec.generator.degree,
-            "generator": spec.generator.format(),
-            "modulus": field.modulus.format(),
-        },
-    )
+    payload = {
+        "m": spec.m,
+        "e": spec.e,
+        "n": spec.n,
+        "k": spec.k,
+        "generatorDegree": spec.generator.degree,
+        "generator": spec.generator.format(),
+        "modulus": field.modulus.format(),
+    }
     text = [
         f"code with nonzeros alpha, alpha^{spec.e} over GF(3^{spec.m}):",
         f"length n = {spec.n}, dimension k = {spec.k}",
@@ -195,7 +176,7 @@ def _cmd_verify(args):
         # the text lists 8 solutions of each equation; the payload would
         # format all of them, 531,441 at m = 12 for e in the coset of 1
         return code, None, _report_text_lines(report, field)
-    return code, report.to_json_dict(field), None  # bare schema, no wrapper
+    return code, report.to_json_dict(field), None
 
 
 def _family_reading_report(rows) -> tuple[list[dict], list[str]]:
@@ -245,7 +226,7 @@ def _cmd_family(args):
         for inst, rep in rows
     ]
     n_opt = sum(rep.verdict == "optimal" for _, rep in rows)
-    body = {
+    payload = {
         "name": args.name,
         "mList": list(ms),
         "instances": instances_json,
@@ -262,15 +243,14 @@ def _cmd_family(args):
         )
     if args.name == "concl-C":
         summary, discrepancies = _family_reading_report(rows)
-        body["readingSummary"] = summary
-        body["discrepancies"] = discrepancies
+        payload["readingSummary"] = summary
+        payload["discrepancies"] = discrepancies
         for line in discrepancies:
             text.append(f"  FLAG: {line}")
         code = 0 if all(s["anyConsistent"] for s in summary) else 1
     else:
         code = 0 if n_opt == len(rows) else 1
     text.append(f"optimal: {n_opt} of {len(rows)}")
-    payload = _wrap("family", body)
     return code, payload, text
 
 
@@ -289,7 +269,7 @@ def _cmd_mindist(args):
     ball1 = hamming_ball(spec.n, 1, 3)
     ball2 = hamming_ball(spec.n, 2, 3)
     max_d = sphere_packing_max_d(spec.n, spec.k, 3)
-    body = {
+    payload = {
         "m": args.m,
         "e": args.e,
         "n": spec.n,
@@ -328,7 +308,6 @@ def _cmd_mindist(args):
     ]
     if witness.verdict == "no_word_below_4" and max_d == 4:
         text.append("distance is exactly 4: no word below 4, and the bound caps d at 4")
-    payload = _wrap("mindist", body)
     return 0, payload, text
 
 
@@ -336,21 +315,18 @@ def _cmd_factor(args):
     # argparse 3.11 drops an option value of exactly "--" and stores []
     poly = parse_poly("--" if args.poly == [] else args.poly)
     fac = factor(poly)
-    payload = _wrap(
-        "factor",
-        {
-            "input": poly.format(),
-            "degree": poly.degree,
-            "unit": fac.unit,
-            "factors": [
-                {"poly": p.format(), "degree": p.degree, "multiplicity": mult}
-                for p, mult in fac.factors
-            ],
-            "irreducible": len(fac.factors) == 1
-            and fac.factors[0][1] == 1
-            and fac.factors[0][0].degree == poly.degree,
-        },
-    )
+    payload = {
+        "input": poly.format(),
+        "degree": poly.degree,
+        "unit": fac.unit,
+        "factors": [
+            {"poly": p.format(), "degree": p.degree, "multiplicity": mult}
+            for p, mult in fac.factors
+        ],
+        "irreducible": len(fac.factors) == 1
+        and fac.factors[0][1] == 1
+        and fac.factors[0][0].degree == poly.degree,
+    }
     text = [f"{poly.format()} ="]
     parts = [] if fac.unit == 1 else [str(fac.unit)]
     for p, mult in fac.factors:
@@ -363,22 +339,19 @@ def _cmd_identities(args):
     from .identities import run_all
 
     checks = run_all()
-    payload = _wrap(
-        "identities",
-        {
-            "checks": [
-                {
-                    "id": c.check_id,
-                    "status": c.status,
-                    "lhsDegree": c.lhs.degree,
-                    "unit": c.unit,
-                    "detail": c.detail,
-                }
-                for c in checks
-            ],
-            "allPass": all(c.passed for c in checks),
-        },
-    )
+    payload = {
+        "checks": [
+            {
+                "id": c.check_id,
+                "status": c.status,
+                "lhsDegree": c.lhs.degree,
+                "unit": c.unit,
+                "detail": c.detail,
+            }
+            for c in checks
+        ],
+        "allPass": all(c.passed for c in checks),
+    }
     width = max(len(c.check_id) for c in checks)
     text = [f"{'check':{width}}  status  deg  unit"]
     for c in checks:
@@ -403,19 +376,16 @@ def _cmd_search(args):
     # sorted
     reports = conditions.verify_search(field, lo, hi)
     optimal = [rep for rep in reports if rep.verdict == "optimal"]
-    payload = _wrap(
-        "search",
-        {
-            "m": args.m,
-            "eRange": [lo, hi],
-            "evaluatedCosetLeaders": len(reports),
-            "optimal": [
-                {"e": r.e, "h": r.h, "parameters": r.parameters_json}
-                for r in optimal
-            ],
-            "modulus": field.modulus.format(),
-        },
-    )
+    payload = {
+        "m": args.m,
+        "eRange": [lo, hi],
+        "evaluatedCosetLeaders": len(reports),
+        "optimal": [
+            {"e": r.e, "h": r.h, "parameters": r.parameters_json}
+            for r in optimal
+        ],
+        "modulus": field.modulus.format(),
+    }
     text = [
         f"search over even e in [{lo}, {hi}] at m={args.m} "
         f"({len(reports)} coset leaders evaluated):"
@@ -536,6 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(args, payload, text_lines, elapsed: float) -> None:
     if args.format == "json":
+        if args.command != "verify":  # verify prints the bare report schema
+            payload = dict(command=args.command, artifactVersion=__version__, **payload)
         out = json.dumps(payload, indent=2) + "\n"
     elif args.format == "csv-row":
         import csv

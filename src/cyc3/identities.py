@@ -62,10 +62,10 @@ def reduction_pair(sign: int) -> tuple[Poly, Poly]:
     monic.  Every solution x is a root of the divided-out gcd or satisfies
     y*den(x) = num(x), where den(x) != 0 as num and den are coprime.  Both
     have GF(3) coefficients, so applying x -> x^(3^h) again gives
-    x^(3^t)*G(x) = F(x), where t = 2h mod m, d = max(deg num, deg den),
-    F = cleared_compose(num, num, den, d) and
-    G = cleared_compose(den, num, den, d).  The paper's two cases are t = 0
-    (2h = m) and t = 2 (2h = m + 2)."""
+    x^(3^t)*G(x) = F(x), where t = 2h mod m, F = cleared_compose(num, num,
+    den) and G = cleared_compose(den, num, den), both cleared at degree
+    d = max(deg num, deg den).  The paper's two cases are t = 0 (2h = m)
+    and t = 2 (2h = m + 2)."""
     a, b = (Poly.x() + Poly.one()) ** 5, Poly.x() ** 5
     num, den = -(a + Poly.one() * sign), a + b * sign
     common = poly_gcd(num, den)
@@ -73,10 +73,10 @@ def reduction_pair(sign: int) -> tuple[Poly, Poly]:
     return num // common * unit, den
 
 
-def cleared_compose(outer: Poly, num: Poly, den: Poly, degree: int) -> Poly:
-    """outer(num/den) * den^degree, the denominator-cleared composition."""
-    if degree < outer.degree:
-        raise ValueError("homogenization degree below outer degree")
+def cleared_compose(outer: Poly, num: Poly, den: Poly) -> Poly:
+    """outer(num/den) * den^d with d = max(deg num, deg den), the lemma's
+    denominator-cleared composition; outer is num or den."""
+    degree = max(num.degree, den.degree)
     out = Poly()
     for i, c in enumerate(outer.coeffs):
         if c:
@@ -161,9 +161,10 @@ def _fixture_factorization(fixture) -> Factorization:
     return Factorization(1, tuple(sorted(factors)))
 
 
-def factorization_check(check_id: str, lhs: Poly, fixture) -> IdentityCheck:
+def factorization_check(check_id: str, lhs: Poly, fixture, coprime=()) -> IdentityCheck:
     """lhs == unit * fixture product, factors irreducible, and the factor
-    engine independently reproduces the fixture multiset."""
+    engine independently reproduces the fixture multiset; once all that
+    holds, the coprime polynomials are tested pairwise for a shared root."""
     expected = _fixture_factorization(fixture)
     problems = []
     for p, _ in expected.factors:
@@ -193,6 +194,12 @@ def factorization_check(check_id: str, lhs: Poly, fixture) -> IdentityCheck:
                 "factor engine disagrees with fixture: "
                 f"engine={[(p.format(), k) for p, k in engine.factors]}"
             )
+    if not problems:
+        problems = [
+            f"{a} and {b} share a root"
+            for a, b in combinations(coprime, 2)
+            if poly_gcd(parse_poly(a), parse_poly(b)).degree != 0
+        ]
     return IdentityCheck(
         check_id=check_id,
         status="pass" if not problems else "fail",
@@ -248,17 +255,7 @@ def run_all() -> list[IdentityCheck]:
     checks = []
     for check_id, sign, t, fixture, coprime in _FACTORIZATIONS:
         num, den = reduction_pair(sign)
-        degree = max(num.degree, den.degree)
-        lhs = Poly.x() ** 3**t * cleared_compose(den, num, den, degree)
-        lhs -= cleared_compose(num, num, den, degree)
-        check = factorization_check(check_id, lhs, fixture)
-        if check.passed:
-            problems = [
-                f"{a} and {b} share a root"
-                for a, b in combinations(coprime, 2)
-                if poly_gcd(parse_poly(a), parse_poly(b)).degree != 0
-            ]
-            if problems:
-                check = check._replace(status="fail", detail="; ".join(problems))
-        checks.append(check)
+        lhs = Poly.x() ** 3**t * cleared_compose(den, num, den)
+        lhs -= cleared_compose(num, num, den)
+        checks.append(factorization_check(check_id, lhs, fixture, coprime))
     return checks + verify_steps()

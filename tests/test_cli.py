@@ -14,10 +14,10 @@ from pathlib import Path
 import pytest
 
 import cyc3
-from cyc3.cli import _cmd_factor, _report_text_lines, main
+from cyc3.cli import _cmd_factor, _report_text_lines, build_parser, main
 from cyc3.conditions import _solutions_generic, verify_optimal
 from cyc3.cosets import coset, cosets_partition, minimal_polynomial
-from cyc3.field import Field, build_field
+from cyc3.field import LOG_TABLE_MAX_DEGREE, Field, build_field
 from cyc3.gf3poly import Poly, PolyParseError, is_irreducible, parse_poly
 
 
@@ -51,6 +51,41 @@ def test_verify_json_schema(capsys):
     ]
     assert d["verdict"] == "optimal"
     assert "elapsed" not in out
+
+
+# one small argv that answers with exit 0 per registered subcommand
+SMALL_ARGVS = {
+    "field-info": ["--m", "4"],
+    "coset": ["--p", "3", "--m", "4", "--j", "14"],
+    "minpoly": ["--m", "4", "--i", "5"],
+    "code": ["--m", "4", "--e", "14"],
+    "verify": ["--m", "4", "--e", "14"],
+    "family": ["--name", "open-problem", "--m-list", "4"],
+    "mindist": ["--m", "4", "--e", "14"],
+    "factor": ["--poly", "x^2+1"],
+    "identities": [],
+    "search": ["--m", "4"],
+}
+(_SUBCOMMANDS,) = [
+    action.choices
+    for action in build_parser()._actions
+    if isinstance(action, argparse._SubParsersAction)
+]
+
+
+@pytest.mark.parametrize("name", list(_SUBCOMMANDS))
+def test_json_envelope_names_the_registered_subcommand(capsys, name):
+    """Every json payload but verify's bare report opens with the name the
+    subcommand is registered under and the artifact version."""
+    code, out, err = run_cli(capsys, name, *SMALL_ARGVS[name], "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    if name == "verify":
+        assert not {"command", "artifactVersion"} & set(payload)
+    else:
+        assert list(payload)[:2] == ["command", "artifactVersion"]
+        assert payload["command"] == name
+        assert payload["artifactVersion"] == cyc3.__version__
 
 
 def test_verify_csv_row(capsys):
@@ -221,13 +256,18 @@ def test_field_info_prints_the_generator_without_the_half_code_table(
         assert json.loads(out)["generator"] == field.format_element(alpha)
 
 
+# the first m past the table cap, and the first even one for open-problem
+ABOVE_CAP = LOG_TABLE_MAX_DEGREE + 1
+EVEN_ABOVE_CAP = ABOVE_CAP + ABOVE_CAP % 2
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "--m", "13", "--e", "14"],
-        ["family", "--name", "concl-A", "--m-list", "5,13"],
-        ["family", "--name", "open-problem", "--m-list", "4,14"],
-        ["search", "--m", "13", "--e-range", "2..100"],
+        ["verify", "--m", str(ABOVE_CAP), "--e", "14"],
+        ["family", "--name", "concl-A", "--m-list", f"5,{ABOVE_CAP}"],
+        ["family", "--name", "open-problem", "--m-list", f"4,{EVEN_ABOVE_CAP}"],
+        ["search", "--m", str(ABOVE_CAP), "--e-range", "2..100"],
     ],
 )
 def test_scans_above_the_table_cap_are_refused(capsys, argv):
@@ -236,7 +276,7 @@ def test_scans_above_the_table_cap_are_refused(capsys, argv):
     assert time.perf_counter() - start < 5
     assert code == 2
     assert out == ""
-    assert "m <= 12" in err
+    assert f"m <= {LOG_TABLE_MAX_DEGREE}" in err
 
 
 # whole-group search at m = 20 would mark 3^20 - 1 exponents (3.3 GiB)

@@ -18,7 +18,7 @@ from cyc3.codes import (
     syndrome,
 )
 from cyc3.cosets import coset, minimal_polynomial
-from cyc3.field import Field, build_field
+from cyc3.field import LOG_TABLE_MAX_DEGREE, Field, build_field
 from cyc3.gf3poly import Poly, powmod
 
 f4 = build_field(4)
@@ -150,18 +150,18 @@ def test_witnesses_are_codewords():
 
 
 def test_search_size_guard():
-    # no Zech tables beyond m = 12, so the search refuses up front
+    # no Zech tables beyond the cap, so the search refuses up front
     with pytest.raises(ValueError) as exc:
-        min_weight_leq3_search(build_field(13), 14)
-    assert "m <= 12" in str(exc.value)
+        min_weight_leq3_search(build_field(LOG_TABLE_MAX_DEGREE + 1), 14)
+    assert f"m <= {LOG_TABLE_MAX_DEGREE}" in str(exc.value)
 
 
 def test_syndrome_above_the_table_cap_is_refused_building_nothing():
     # syndrome reads the exp table, which exists only up to the cap
-    field = Field(13)
+    field = Field(LOG_TABLE_MAX_DEGREE + 1)
     with pytest.raises(ValueError) as exc:
         syndrome(field, 4, (0,), (1,))
-    assert "m <= 12" in str(exc.value)
+    assert f"m <= {LOG_TABLE_MAX_DEGREE}" in str(exc.value)
     assert field._exp is None and field._zech is None
 
 

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -79,6 +80,20 @@ def test_package_loads_submodules_on_first_use():
     assert got["nope"] == "module 'cyc3' has no attribute 'nope'"
     assert set(SUBMODULES) <= set(got["dir"])
     assert "__version__" in got["dir"]
+
+
+def test_dir_lists_the_submodules_without_importing_them(monkeypatch):
+    """dir(cyc3) names all six submodules, loaded or not, and imports none.
+    The test process has loaded them, so they are taken off the package
+    first: only the package's own __dir__ can then name them."""
+
+    def refuse(name):
+        raise AssertionError(f"dir(cyc3) imported {name}")
+
+    for name in SUBMODULES:
+        monkeypatch.delattr(cyc3, name, raising=False)
+    monkeypatch.setattr(cyc3, "importlib", SimpleNamespace(import_module=refuse))
+    assert set(SUBMODULES) <= set(dir(cyc3))
 
 
 def test_no_submodule_loads_dataclasses():

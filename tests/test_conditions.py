@@ -364,19 +364,21 @@ def test_generic_scan_reads_no_table():
 
 
 def test_scans_refused_above_the_table_cap(monkeypatch):
-    # a family naming m = 13 is refused before any instance is verified
+    # a family naming an m past the cap is refused before any instance is
+    # verified
     import cyc3.conditions
 
     calls = []
     monkeypatch.setattr(
         cyc3.conditions, "verify_optimal", lambda *a: calls.append(a)
     )
-    with pytest.raises(ValueError, match="m <= 12"):
-        verify_family("concl-A", [5, 13])
+    cap, above = LOG_TABLE_MAX_DEGREE, LOG_TABLE_MAX_DEGREE + 1
+    with pytest.raises(ValueError, match=f"m <= {cap}"):
+        verify_family("concl-A", [5, above])
     assert calls == []
     monkeypatch.undo()
-    with pytest.raises(ValueError, match="m <= 12; got m=13"):
-        verify_optimal(Field(13), 14)
+    with pytest.raises(ValueError, match=f"m <= {cap}; got m={above}"):
+        verify_optimal(Field(above), 14)
 
 
 def test_table_scan_matches_direct_arithmetic_sampled_at_m11():

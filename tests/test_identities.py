@@ -56,9 +56,9 @@ def test_difference_pair_shapes():
     f, g = reduction_pair(-1)
     assert f == parse_poly("x^5-x^4+x^3+x^2-x")
     assert g == parse_poly("x^4-x^3-x^2+x-1")
-    # clearing denominators of f(x)/g(x) composed with itself at height 5
-    F = cleared_compose(f, f, g, 5)
-    G = cleared_compose(g, f, g, 5)
+    # clearing denominators of f(x)/g(x) composed with itself: d = 5
+    F = cleared_compose(f, f, g)
+    G = cleared_compose(g, f, g)
     assert (F.degree, F.lc) == (25, 1)
     assert (G.degree, G.lc) == (24, 1)
 
@@ -67,22 +67,10 @@ def test_sum_pair_shapes():
     k, l = reduction_pair(1)
     assert k == parse_poly("x^4+x^2-x+1")
     assert l == parse_poly("x^4-x^3+x^2+1")
-    K = cleared_compose(k, k, l, 4)
-    L = cleared_compose(l, k, l, 4)
+    K = cleared_compose(k, k, l)
+    L = cleared_compose(l, k, l)
     assert (K.degree, K.lc) == (16, 2)
     assert (L.degree, L.lc) == (16, 2)
-
-
-def test_cleared_compose_rejects_short_degree():
-    f, g = reduction_pair(-1)
-    with pytest.raises(ValueError):
-        cleared_compose(f, f, g, 4)
-
-
-def test_cleared_compose_homogenization_degree():
-    # raising the clearing degree multiplies by the denominator
-    f, g = reduction_pair(-1)
-    assert cleared_compose(f, f, g, 6) == cleared_compose(f, f, g, 5) * g
 
 
 def test_difference_fixed_point_frozen_factors():
@@ -107,7 +95,7 @@ def test_sum_fixed_point_has_quintuple_root_at_one():
     assert check.unit == 2
     assert check.lhs.degree == 17
     k, l = reduction_pair(1)
-    assert X * cleared_compose(l, k, l, 4) - cleared_compose(k, k, l, 4) == check.lhs
+    assert X * cleared_compose(l, k, l) - cleared_compose(k, k, l) == check.lhs
     # (x - 1)^5 carries multiplicity five
     assert ("x-1", 5) in [
         (p, m) for p, m in _fixture_pairs(check)
@@ -183,16 +171,28 @@ def test_factorization_check_detects_tampered_lhs():
     """The checker must fail when the polynomial is off by one; a checker
     that cannot fail certifies nothing."""
     f, g = reduction_pair(-1)
-    lhs = X * cleared_compose(g, f, g, 5) - cleared_compose(f, f, g, 5)
+    lhs = X * cleared_compose(g, f, g) - cleared_compose(f, f, g)
     good = factorization_check("control-good", lhs, FIXED_POINT_DIFFERENCE)
     assert good.passed
     bad = factorization_check("control-bad", lhs + ONE, FIXED_POINT_DIFFERENCE)
     assert not bad.passed
 
 
+def test_coprime_pairs_are_tested_once_the_factorization_holds():
+    f, g = reduction_pair(-1)
+    lhs = X * cleared_compose(g, f, g) - cleared_compose(f, f, g)
+    sharing = ("x^2+1", "x^4-1", "x^3-x+1")
+    held = factorization_check("control", lhs, FIXED_POINT_DIFFERENCE, sharing)
+    assert (held.status, held.unit) == ("fail", 2)
+    assert held.detail == "x^2+1 and x^4-1 share a root"
+    broken = factorization_check("control", lhs + ONE, FIXED_POINT_DIFFERENCE, sharing)
+    assert broken.status == "fail"
+    assert "share a root" not in broken.detail
+
+
 def test_factorization_check_detects_tampered_fixture():
     f, g = reduction_pair(-1)
-    lhs = X * cleared_compose(g, f, g, 5) - cleared_compose(f, f, g, 5)
+    lhs = X * cleared_compose(g, f, g) - cleared_compose(f, f, g)
     tampered = tuple(
         (poly, mult + 1 if poly == "x+1" else mult)
         for poly, mult in FIXED_POINT_DIFFERENCE
@@ -270,9 +270,8 @@ def test_reduction_lemma_holds_at_every_table_solution(m):
         for sign, solutions in zip((-1, 1), _solutions_table(field, e)):
             num, den = reduction_pair(sign)
             common = poly_gcd(-(a + ONE * sign), a + b * sign)
-            d = max(num.degree, den.degree)
-            F = cleared_compose(num, num, den, d)
-            G = cleared_compose(den, num, den, d)
+            F = cleared_compose(num, num, den)
+            G = cleared_compose(den, num, den)
             if (sign, t) in rows:
                 assert X ** 3**t * G - F == rows[sign, t]
             for code in solutions:
