@@ -20,7 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from cyc3.cli import main as cli_main
 from cyc3.codes import min_weight_leq3_search, sphere_packing_max_d
-from cyc3.conditions import gcd_chain_check, verify_family, verify_optimal
+from cyc3.conditions import family_instances, verify_family, verify_optimal
 from cyc3.cosets import coset_size_law_check
 from cyc3.field import build_field
 from cyc3.identities import run_all
@@ -47,8 +47,9 @@ def main() -> int:
     section("certified optimal codes")
     cases = [(4, 14), (6, 86), (8, 86), (10, 734)]
     beyond_the_paper = [(11, 248), (12, 734)]
+    reports = {}
     for m, e in cases + beyond_the_paper:
-        r = verify_optimal(build_field(m), e)
+        r = reports[m] = verify_optimal(build_field(m), e)
         n = 3 ** m - 1
         expect(
             r.verdict == "optimal" and r.parameters == (n, n - 2 * m, 4),
@@ -101,6 +102,21 @@ def main() -> int:
         w.verdict == "found" and w.positions == (0, 2, 170),
         "weight-3 codeword at (m=5, e=122)",
     )
+    # GF(3^5) lies in GF(3^m) when 5 | m, where x^e = x^122 if e = 122
+    # (mod 242): the even reading's defect comes back at these (m, h)
+    returns = [
+        (i.m, i.h)
+        for m in range(5, 121, 10)
+        if m % 3
+        for i in family_instances("concl-C", [m])
+        if i.reading == "(3^(m-1)-1)/2" and i.e % 242 == 122
+    ]
+    print(f"  defect returns at (m, h) = {returns}")
+    expect(
+        returns == [(5, 4), (25, 19), (35, 9), (55, 14), (65, 49), (85, 64),
+                    (95, 24), (115, 29)],
+        "e = 122 (mod 242) at 8 (m, h) with 5 | m <= 120",
+    )
 
     section("whole-group search, the README table rows at m = 8, 9")
     for m, optimal, evaluated in ((8, 58, 422), (9, 649, 1096)):
@@ -135,8 +151,9 @@ def main() -> int:
     for m in (2, 4, 5, 6):
         rep = coset_size_law_check(3, m)
         expect(rep.violations == (), f"size law at m={m} ({rep.checked} exponents)")
+    # the open-problem exponents 3^h + 5 are the reports' e at even m
     for m in (4, 6, 8, 10, 12):
-        expect(gcd_chain_check(m) == 2, f"gcd chain (m={m}) = 2")
+        expect(reports[m].gcd_value == 2, f"gcd chain (m={m}) = 2")
 
     print(f"\n{'ALL RESULTS REPRODUCED' if not failures else 'MISMATCHES FOUND'} "
           f"({time.perf_counter() - t0:.1f}s)")

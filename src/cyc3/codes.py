@@ -75,21 +75,6 @@ def build_code(field: Field, e: int) -> CodeSpec:
     return CodeSpec(field.m, e, n, gen, n - gen.degree)
 
 
-def parity_check_columns(field: Field, e: int) -> list[tuple[Poly, Poly]]:
-    """Column j = (alpha^j, alpha^(ej)) for j in [0, n), stepped by
-    multiplication from powmod's alpha and alpha^e rather than read from
-    the tables."""
-    mod = field.modulus
-    alpha, alpha_e = field.exp_of_generator(1), field.exp_of_generator(e)
-    a = b = field.one
-    cols = []
-    for _ in range(field.order):
-        cols.append((a, b))
-        a = a * alpha % mod
-        b = b * alpha_e % mod
-    return cols
-
-
 def syndrome(field: Field, e: int, positions, values) -> tuple[Poly, Poly]:
     """The two syndrome sums of a sparse word given as positions/values.
 

@@ -232,20 +232,6 @@ def check_c3(field: Field, e: int) -> tuple[int, ...]:
     return _solutions_table(field, e)[1]
 
 
-def gcd_chain_check(m: int) -> int:
-    """gcd(3^h + 5, 3^m - 1) for the open-problem exponent of m (h from
-    open_problem_exponent, which refuses odd m and m < 4).
-
-    The result is asserted to be 2, which is what forces the full coset
-    size via the coset-size law.
-    """
-    h, e = open_problem_exponent(m)
-    g = math.gcd(e, 3**m - 1)
-    if g != 2:
-        raise RuntimeError(f"gcd(3^{h}+5, 3^{m}-1) = {g}, expected 2")
-    return g
-
-
 def open_problem_exponent(m: int) -> tuple[int, int]:
     """(h, e) with e = 3^h + 5 for even m: h = m/2 or (m+2)/2 by m mod 4."""
     if m % 2 != 0 or m < 4:

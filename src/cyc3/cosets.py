@@ -27,10 +27,6 @@ COSET_PRIME_BITS = 32
 COSET_MODULUS_BITS = 64
 
 
-def _is_prime(p: int) -> bool:
-    return p >= 2 and prime_factors(p) == (p,)
-
-
 class Coset(NamedTuple):
     p: int
     m: int
@@ -48,7 +44,7 @@ def coset(j: int, p: int, m: int) -> Coset:
         raise ValueError("m must be positive")
     if p.bit_length() > COSET_PRIME_BITS:
         raise ValueError(f"p must be below 2^{COSET_PRIME_BITS}, got {p}")
-    if not _is_prime(p):
+    if p < 2 or prime_factors(p) != (p,):
         raise ValueError(f"p must be prime, got {p}")
     # p >= 2^(b - 1) for b = p.bit_length(), so (b - 1) * m above the limit
     # already puts p^m past it; otherwise p**m has at most 2 * limit bits

@@ -19,12 +19,7 @@ from pathlib import Path
 import pytest
 
 from cyc3.codes import min_weight_leq3_search
-from cyc3.conditions import (
-    gcd_chain_check,
-    open_problem_exponent,
-    verify_family,
-    verify_optimal,
-)
+from cyc3.conditions import verify_family, verify_optimal
 from cyc3.cosets import coset, coset_size_law_check
 from cyc3.field import build_field
 
@@ -131,9 +126,14 @@ def test_05_coset_size_law():
 
 
 def test_06_gcd_chain():
-    for m, h in [(4, 2), (6, 4), (8, 4), (10, 6)]:
-        assert open_problem_exponent(m)[0] == h
-        assert gcd_chain_check(m) == 2
+    rows = verify_family("open-problem", [4, 6, 8, 10, 12])
+    assert [(rep.m, rep.e, rep.h, rep.gcd_value) for _, rep in rows] == [
+        (4, 14, 2, 2),
+        (6, 86, 4, 2),
+        (8, 86, 4, 2),
+        (10, 734, 6, 2),
+        (12, 734, 6, 2),
+    ]
     print("PASS criterion 6: gcd chain collapses to 2")
 
 

@@ -13,11 +13,10 @@ from cyc3.codes import (
     hamming_ball,
     is_codeword,
     min_weight_leq3_search,
-    parity_check_columns,
     sphere_packing_max_d,
     syndrome,
 )
-from cyc3.cosets import coset, minimal_polynomial
+from cyc3.cosets import coset, cosets_partition, minimal_polynomial
 from cyc3.field import LOG_TABLE_MAX_DEGREE, Field, build_field
 from cyc3.gf3poly import Poly, powmod
 
@@ -70,6 +69,21 @@ def test_exponent_range_validation():
         build_code(f4, 0)
     with pytest.raises(ValueError):
         build_code(f4, 80)
+
+
+def parity_check_columns(field, e):
+    """Column j = (alpha^j, alpha^(ej)) for j in [0, n), stepped by
+    multiplication from powmod's alpha and alpha^e rather than read from
+    the tables: the columns the brute-force oracles below search."""
+    mod = field.modulus
+    alpha, alpha_e = field.exp_of_generator(1), field.exp_of_generator(e)
+    a = b = field.one
+    cols = []
+    for _ in range(field.order):
+        cols.append((a, b))
+        a = a * alpha % mod
+        b = b * alpha_e % mod
+    return cols
 
 
 def test_parity_check_columns_are_power_pairs():
@@ -140,13 +154,25 @@ def test_every_odd_exponent_has_a_weight2_word(e):
     assert w.weight == 2
 
 
-def test_witnesses_are_codewords():
-    w = min_weight_leq3_search(f4, 4)
-    spec = build_code(f4, 4)
-    word = Poly.zero()
-    for pos, val in zip(w.positions, w.values):
-        word = word + val * Poly.x() ** pos
-    assert is_codeword(spec, word)
+@pytest.mark.parametrize("m,found", [(4, 19), (5, 27), (6, 112), (7, 159)])
+def test_witnesses_are_codewords(m, found):
+    # generator divisibility reads no table, so it checks every witness
+    # apart from the exp table _confirm_witness and the search both read;
+    # every leader outside the class of 1, odd or even
+    field = build_field(m)
+    n_found = 0
+    for c in cosets_partition(3, m)[1:]:
+        if c.leader == 1:
+            continue
+        w = min_weight_leq3_search(field, c.leader)
+        if w.verdict != "found":
+            continue
+        word = Poly.zero()
+        for pos, val in zip(w.positions, w.values):
+            word = word + val * Poly.x() ** pos
+        assert is_codeword(build_code(field, c.leader), word), c.leader
+        n_found += 1
+    assert n_found == found
 
 
 def test_search_size_guard():

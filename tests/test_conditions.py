@@ -29,7 +29,6 @@ from cyc3.conditions import (
     check_c2,
     check_c3,
     family_instances,
-    gcd_chain_check,
     open_problem_exponent,
     verify_family,
     verify_optimal,
@@ -510,6 +509,42 @@ def test_conditions_biconditional_with_weight_search_sampled(
     assert n_optimal == optimal
 
 
+@pytest.mark.parametrize(
+    "m,refuted,full_count,optimal",
+    [
+        (4, 4, 8, 2),
+        (6, 35, 56, 15),
+        (8, 320, 400, 58),
+        (9, 336, 1092, 649),
+        (10, 1647, 2928, 978),
+    ],
+)
+def test_a_subfield_solution_refutes_optimality(m, refuted, full_count, optimal):
+    """The subfield lemma: GF(3^d) lies in GF(3^m) for d | m, and x^e there
+    depends only on e mod 3^d - 1, so a solution the scan of GF(3^d) lists
+    beyond the forced 0 and 1 solves the same equation in GF(3^m).  Every
+    full-size even leader it refutes must be not optimal, and the optimal
+    counts at m = 8, 9, 10 are the README's `search` rows."""
+    field = build_field(m)
+    subfields = [build_field(d) for d in range(2, m) if m % d == 0]
+    full = sorted(
+        c.leader
+        for c in cosets_meeting(range(2, field.order, 2), 3, m)
+        if c.size == m
+    )
+    n_refuted = n_optimal = 0
+    for e in full:
+        report = verify_optimal(field, e)
+        n_optimal += report.verdict == "optimal"
+        if any(
+            _solutions_table(sub, e) != ((0,), (sub.encode(sub.one),))
+            for sub in subfields
+        ):
+            n_refuted += 1
+            assert report.verdict == "not_optimal", e
+    assert (n_refuted, len(full), n_optimal) == (refuted, full_count, optimal)
+
+
 @settings(max_examples=40)
 @given(st.integers(min_value=1, max_value=39).map(lambda i: 2 * i))
 def test_optimality_is_a_coset_invariant(e):
@@ -533,24 +568,16 @@ def test_exponent_entry_points_refuse_the_same_way(m):
 
 
 def test_gcd_chain():
-    for m, h in [(4, 2), (6, 4), (8, 4), (10, 6)]:
-        assert open_problem_exponent(m)[0] == h
-        assert gcd_chain_check(m) == 2
-
-
-def test_gcd_chain_rejects_wrong_h():
-    # h is derived from m, so the one wrong input left is an m that has no
-    # open-problem exponent
-    with pytest.raises(ValueError):
-        gcd_chain_check(5)
-
-
-def test_gcd_chain_refuses_a_gcd_other_than_two(monkeypatch):
-    import cyc3.conditions
-
-    monkeypatch.setattr(cyc3.conditions, "open_problem_exponent", lambda m: (1, 8))
-    with pytest.raises(RuntimeError, match=r"gcd\(3\^1\+5, 3\^4-1\) = 8, expected 2"):
-        gcd_chain_check(4)
+    # gcd(3^h + 5, 3^m - 1) = 2 forces the full coset size; every
+    # open-problem report carries it
+    rows = verify_family("open-problem", [4, 6, 8, 10, 12])
+    assert [(i.m, i.h, i.e, rep.gcd_value) for i, rep in rows] == [
+        (4, 2, 14, 2),
+        (6, 4, 86, 2),
+        (8, 4, 86, 2),
+        (10, 6, 734, 2),
+        (12, 6, 734, 2),
+    ]
 
 
 def test_open_problem_exponents():
@@ -589,6 +616,22 @@ def test_family_c_first_reading_is_parity_dead():
     for i in family_instances("concl-C", [5, 7, 11]):
         if i.reading == "(3^m-1)/2":
             assert i.e % 2 == 1
+
+
+def test_family_c_defect_returns_wherever_5_divides_m():
+    # GF(3^5) lies in GF(3^m) when 5 | m, and x^e = x^122 there whenever
+    # e = 122 (mod 242), so the 61 solutions of m = 5, e = 122 come back;
+    # no field is built
+    hits = [
+        (i.m, i.h)
+        for m in range(5, 121, 2)
+        if m % 3 and m % 5 == 0
+        for i in family_instances("concl-C", [m])
+        if i.reading == "(3^(m-1)-1)/2" and i.e % 242 == 122
+    ]
+    assert hits == [
+        (5, 4), (25, 19), (35, 9), (55, 14), (65, 49), (85, 64), (95, 24), (115, 29)
+    ]
 
 
 def test_conclusion_families_reject_bad_m():
