@@ -43,7 +43,8 @@ both come down to one test, n/2 | lhs - rhs: a difference of 0 solves the
 first, one of +-n/2 the second.  Where x^e = -1, x^e + 1 has no logarithm
 and neither equation holds; the test rejects those points by itself
 (proof at the test in _solutions_table).  One walk over Z_n per Field
-lists the (i, zech[i]) pairs of the orbit leaders, cached with the Field.
+lists the (i, zech[i]) pairs of the orbit leaders; Field.orbit_pairs holds
+them.
 A hit's orbit is listed by walking j -> 3j mod n from its leader and
 taking the codes exp[j] and exp[-j] at each step; an orbit closed under
 negation comes out twice, and one set over each list drops the repeats.
@@ -63,7 +64,6 @@ from __future__ import annotations
 
 import math
 from typing import NamedTuple
-from weakref import WeakKeyDictionary
 
 from .cosets import coset, cosets_meeting
 from .field import Field, build_field
@@ -128,45 +128,12 @@ class ConditionReport(NamedTuple):
         }
 
 
-def check_c1(e: int) -> bool:
-    return e % 2 == 0
-
-
-_FIELD_SCAN_DATA: WeakKeyDictionary[Field, list] = WeakKeyDictionary()
-
-
-def _field_scan_data(field: Field) -> list[tuple[int, int]]:
-    """The (leader, zech[leader]) pairs the scan walks, built once per
-    Field and dropped with it.  A leader is the least member of an orbit
-    of <3, -1> on Z_n, n = 3^m - 1; the fixed point n/2 is left out, and
-    the pairs run in ascending leader order."""
-    pairs = _FIELD_SCAN_DATA.get(field)
-    if pairs is None:
-        zech = field.tables()[1]
-        n = field.order
-        seen = bytearray(n)
-        seen[n // 2] = 1
-        pairs = []
-        i = seen.find(0)
-        while i >= 0:
-            pairs.append((i, zech[i]))
-            j = i
-            while True:  # i's coset and its negation; seen[-j] is seen[n - j]
-                seen[j] = seen[-j] = 1
-                j = j * 3 % n
-                if j == i:
-                    break
-            i = seen.find(0, i + 1)
-        _FIELD_SCAN_DATA[field] = pairs
-    return pairs
-
-
 def _solutions_table(field: Field, e: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The codes of the solutions of (x+1)^e - x^e - 1 = 0 and of
     (x+1)^e + x^e + 1 = 0 via Zech logarithms, each ascending, from one
     walk over the orbit leaders of <3, -1>; every hit stands for its whole
     orbit."""
-    pairs = _field_scan_data(field)
+    pairs = field.orbit_pairs
     exp, zech = field.tables()
     n = field.order
     half = n // 2
@@ -258,7 +225,7 @@ def verify_optimal(field: Field, e: int, h: int | None = None) -> ConditionRepor
     is refused (ValueError) by the scan's field.tables()."""
     field.check_exponent(e)
     m, n = field.m, field.order
-    c1 = check_c1(e)
+    c1 = e % 2 == 0
     cos_e = coset(e, 3, m)
     coset_ok = cos_e.leader != 1 and cos_e.size == m
     gcd_value = math.gcd(e, n)

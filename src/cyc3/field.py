@@ -38,8 +38,10 @@ The text form of a code is its m digits, comma-joined.  decode and
 format_element read one cached table of the bit planes and text of every
 half-code; encode reads the digits straight from the bit planes.
 
-Degrees are capped at MAX_DEGREE so every exponent and order fits
-comfortably in machine integers.
+Degrees are capped at MAX_DEGREE.  Python ints are unbounded, so no
+integer size sets the cap: it is as far as the commands that run past the
+tables (field-info, minpoly, code) are budgeted and fuzzed, and raising it
+is open work.
 """
 
 from __future__ import annotations
@@ -131,6 +133,30 @@ class Field:
         return 3**k, _half_table(0, self.m - k), _half_table(self.m - k, k)
 
     # -- tables --------------------------------------------------------------
+
+    @cached_property
+    def orbit_pairs(self) -> list[tuple[int, int]]:
+        """The (leader, zech[leader]) pairs the condition scan walks, in
+        ascending leader order.  A leader is the least member of an orbit
+        of <3, -1> on Z_n, n = order; the fixed point n/2 is left out.  The
+        conditions module docstring says why one point per orbit is
+        enough.  Built on first use and dropped with the field."""
+        zech = self.tables()[1]
+        n = self.order
+        seen = bytearray(n)
+        seen[n // 2] = 1
+        pairs = []
+        i = seen.find(0)
+        while i >= 0:
+            pairs.append((i, zech[i]))
+            j = i
+            while True:  # i's coset and its negation; seen[-j] is seen[n - j]
+                seen[j] = seen[-j] = 1
+                j = j * 3 % n
+                if j == i:
+                    break
+            i = seen.find(0, i + 1)
+        return pairs
 
     def tables(self) -> tuple[array, array]:
         """(exp, zech) for m <= LOG_TABLE_MAX_DEGREE; built lazily.
@@ -227,8 +253,9 @@ def _x_is_primitive(f: Poly) -> bool:
 def _canonical_modulus(m: int) -> Poly:
     # primitive x needs x^(n/2) = -1, and x^(n/2) is the norm (-1)^m * c0;
     # that fixes the constant term.  Only candidates with c0 = required_c0
-    # are built, in monic_polys(m) order, so the first hit is the one a
-    # full scan finds; the two thirds with another c0 cannot be primitive
+    # are built, in ascending coefficient-sequence order (constant term
+    # compared first), so the first hit is the one a full scan of the monic
+    # polynomials finds; the two thirds with another c0 cannot be primitive
     required_c0 = 2 if m % 2 == 0 else 1
     for tail in itertools.product(range(3), repeat=m - 1):
         f = Poly((required_c0,) + tail + (1,))

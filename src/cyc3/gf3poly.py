@@ -401,15 +401,6 @@ def _parse_human(text: str) -> Poly:
     return Poly(out)
 
 
-def monic_polys(degree: int):
-    """Yield all monic polynomials of the given degree, ascending
-    coefficient-sequence order (constant coefficient compared first)."""
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    for tail in itertools.product(range(3), repeat=degree):
-        yield Poly(tail + (1,))
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor."""
     if a.is_zero and b.is_zero:

@@ -1,12 +1,14 @@
 """Acceptance gate.
 
 One test per numbered criterion, each enforcing its stated wall-clock
-budget.  Criterion 7 splits into three parts: the A/B families, the
+budget.  Criterion 7 splits into four parts: the A/B families, the
 enumeration-and-flagging of the two readings of the third family's
-constant, and the claim that every m keeps at least one fully optimal
-reading.  That last claim is false at m = 5 (counterexample below), so
-its test fails by design rather than being papered over; the discrepancy
-is reported, not hidden.
+constant, the claim that every m keeps at least one fully optimal
+reading, and the same defect certified past the table cap.  The third
+claim is false at m = 5 (counterexample below), so its test fails by
+design rather than being papered over; the discrepancy is reported, not
+hidden.  The fourth part finds that defect again at m = 25 and m = 35,
+from GF(3^5) inside GF(3^m), with no table.
 """
 
 import json
@@ -19,9 +21,10 @@ from pathlib import Path
 import pytest
 
 from cyc3.codes import min_weight_leq3_search
-from cyc3.conditions import verify_family, verify_optimal
+from cyc3.conditions import family_instances, verify_family, verify_optimal
 from cyc3.cosets import coset, coset_size_law_check
-from cyc3.field import build_field
+from cyc3.field import _canonical_modulus, build_field
+from cyc3.gf3poly import Poly, powmod
 
 
 def run_cli(*argv, timeout=300):
@@ -194,6 +197,65 @@ def test_07c_family_c_keeps_a_fully_optimal_reading_per_m():
             failures.append(f"m={m}: no fully optimal reading; verdicts {detail}")
     assert not failures, "; ".join(failures)
     print("PASS criterion 7c: every m keeps a fully optimal reading")
+
+
+@pytest.mark.parametrize("m,h", [(25, 19), (35, 9)], ids=["m25", "m35"])
+def test_07d_family_c_defect_is_certified_past_the_table_cap(m, h):
+    """The m = 5 defect of 7c comes back at m = 25 and m = 35, past the
+    table cap, and is certified here without tables.  With the constant
+    read as (3^(m-1)-1)/2, 4h = 1 (mod m) qualifies h, and e = 122 (mod
+    242).  As 5 | m, GF(3^5)* sits in GF(3^m)* as the powers of beta =
+    alpha^N, N = (3^m - 1) / 242, and on it x^e = x^122: each equation has
+    the 61 solutions the m = 5 table scan finds.  A c2 solution y != 0
+    gives the word with values 1, 1, 2 at positions 0, N j(y) and
+    N j(y+1), j the log to base beta, whose two syndromes are 3y + 3 = 0
+    and 1 + y^e - (y+1)^e = 0; both are recomputed from the positions by
+    powmod, so the code has a weight-3 word and is not optimal.  The field arithmetic runs on gf3poly
+    directly, as Field stops at MAX_DEGREE = 20."""
+    (inst,) = [
+        i
+        for i in family_instances("concl-C", [m])
+        if i.h == h and i.reading == "(3^(m-1)-1)/2"
+    ]
+    e = inst.e
+    assert e % 242 == 122
+
+    def certify():
+        f = _canonical_modulus(m)
+        one, x = Poly.one(), Poly.x()
+        n = 3**m - 1
+        big_n = n // 242
+        beta = powmod(x, big_n, f)
+        log = {}  # beta^j -> j
+        b = one
+        for j in range(242):
+            log[b] = j
+            b = b * beta % f
+        assert b == one and len(log) == 242
+        c2, c3 = [], []
+        for y in (Poly.zero(), *log):
+            lhs, rhs = powmod(y + one, e, f), powmod(y, e, f) + one
+            if lhs == rhs:
+                c2.append(y)
+            if lhs == -rhs:
+                c3.append(y)
+        y = next(y for y in c2 if y)
+        positions = (0, big_n * log[y], big_n * log[y + one])
+        syndromes = [
+            one  # alpha^0, at position 0
+            + powmod(x, k * positions[1] % n, f)
+            + 2 * powmod(x, k * positions[2] % n, f)
+            for k in (1, e)
+        ]
+        return len(c2), len(c3), positions, syndromes
+
+    c2_count, c3_count, positions, syndromes = timed(10.0, certify)
+    small = verify_optimal(build_field(5), 122)
+    assert (c2_count, c3_count) == (61, 61)
+    assert (len(small.c2_solutions), len(small.c3_solutions)) == (61, 61)
+    assert len(set(positions)) == 3
+    assert syndromes == [Poly.zero(), Poly.zero()], positions
+    print(f"PASS criterion 7d: m={m} h={h} has a weight-3 word at {positions}")
 
 
 def test_08a_negative_control_odd_exponent():

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import math
@@ -630,6 +631,26 @@ def test_search_json(capsys):
     assert code == 0
     assert [r["e"] for r in d["optimal"]] == [2, 14]
     assert d["optimal"][1]["h"] == 2
+
+
+# sha256 of the stdout of `search --m M --format json`: a change to the
+# condition scan, its orbit walk or a prefilter in front of it must keep
+# these bytes
+SEARCH_DIGESTS = {
+    4: "bbb994c35692bfe86c39883cf8aba986acdcd2b18551af878cf85f027020da37",
+    5: "d6ba05309ab5c1d5d12a04505a1b2a14a3422a68564dc5a1bf08fa24b077ba83",
+    6: "af56b2968affbd5d190ed8192f79790a2382a23747f8db517581fe90de99337c",
+    7: "a3a0277d833b2c0e0d55f2b1846a5e7e11e31e3ce52ca21f213e25a5d8e590da",
+    8: "d9fc379c9ef2b0085f6a74da4ea44ca0c551463ada087f99e7c7a4a310963ec1",
+    9: "8e5fc26a31b6ff1de7f3cdce4e04c678f7cc17305dae7d5deb5242638114eefa",
+}
+
+
+@pytest.mark.parametrize("m", sorted(SEARCH_DIGESTS))
+def test_search_bytes_match_the_recorded_digests(capsys, m):
+    code, out, _ = run_cli(capsys, "search", "--m", str(m), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_DIGESTS[m]
 
 
 def test_search_range(capsys):

@@ -16,6 +16,7 @@ from cyc3.codes import (
     sphere_packing_max_d,
     syndrome,
 )
+from cyc3.conditions import verify_optimal
 from cyc3.cosets import coset, cosets_partition, minimal_polynomial
 from cyc3.field import LOG_TABLE_MAX_DEGREE, Field, build_field
 from cyc3.gf3poly import Poly, powmod
@@ -173,6 +174,46 @@ def test_witnesses_are_codewords(m, found):
         assert is_codeword(build_code(field, c.leader), word), c.leader
         n_found += 1
     assert n_found == found
+
+
+@pytest.mark.parametrize("m", range(4, 9))
+def test_each_non_forced_solution_is_a_weight_three_codeword(m):
+    # the map from the scan's extra solutions to light words, at every
+    # full-size even leader: a c2 solution x != 0 gives 1 + x - (x+1) = 0
+    # and 1 + x^e - (x+1)^e = 0, so values (1, 1, 2) at (0, log x,
+    # log(x+1)); a c3 solution x != 1 gives values (1, 1, 1) at (0, log x,
+    # log(-(x+1))), as e is even.  Divisibility rechecks the words where
+    # building the codes is cheap
+    field = build_field(m)
+    exp = field.tables()[0]
+    log = {code: i for i, code in enumerate(exp)}
+    one = field.one
+    n_words = 0
+    for c in cosets_partition(3, m)[1:]:
+        e = c.leader
+        if e % 2 or c.size != m:
+            continue
+        rep = verify_optimal(field, e)
+        cases = [
+            (x, field.decode(x) + one, (1, 1, 2)) for x in rep.c2_solutions if x
+        ] + [
+            (x, -(field.decode(x) + one), (1, 1, 1))
+            for x in rep.c3_solutions
+            if x != field.encode(one)
+        ]
+        spec = build_code(field, e) if m <= 6 else None
+        for x, third, values in cases:
+            positions = (0, log[x], log[field.encode(third)])
+            assert len(set(positions)) == 3, (e, positions)
+            assert syndrome(field, e, positions, values) == (field.zero,) * 2
+            if spec:
+                word = sum(
+                    (v * Poly.x() ** pos for v, pos in zip(values, positions)),
+                    Poly.zero(),
+                )
+                assert is_codeword(spec, word), (e, positions)
+            n_words += 1
+    assert n_words == {4: 32, 5: 140, 6: 608, 7: 1120, 8: 4960}[m]
 
 
 def test_search_size_guard():

@@ -19,13 +19,10 @@ from cyc3.conditions import (
     FAMILIES,
     FAMILY_C_READINGS,
     MAX_ORBIT_POINTS,
-    _FIELD_SCAN_DATA,
     FamilyInstance,
     _congruence_hits,
-    _field_scan_data,
     _solutions_generic,
     _solutions_table,
-    check_c1,
     check_c2,
     check_c3,
     family_instances,
@@ -42,9 +39,9 @@ f5 = build_field(5)
 
 
 def test_c1_is_parity():
-    assert check_c1(14)
-    assert check_c1(2)
-    assert not check_c1(7)
+    assert verify_optimal(f4, 14).c1
+    assert verify_optimal(f4, 2).c1
+    assert not verify_optimal(f4, 7).c1
 
 
 def test_verify_optimal_80_72_4():
@@ -229,7 +226,7 @@ def test_the_full_walk_comparison_meets_the_scan_edge_cases():
     cases = [
         (m, 3**m - 1, i)
         for m in range(2, 6)
-        for i, _ in _field_scan_data(build_field(m))
+        for i, _ in build_field(m).orbit_pairs
     ]
     assert any(i * e % n == n // 2 for m, n, i in cases for e in range(2, n, 2))
     assert any(i and -i % n in coset(i, 3, m).members for m, n, i in cases)
@@ -242,11 +239,11 @@ def test_scan_data_is_kept_per_field_not_per_degree():
         Field(5, modulus=parse_poly(text))
         for text in ("x^5+x^4-x^3+1", "x^5+x^4+x^2+1")
     )
-    assert _field_scan_data(a) != _field_scan_data(b)
-    assert [i for i, _ in _field_scan_data(a)] == [i for i, _ in _field_scan_data(b)]
+    assert a.orbit_pairs != b.orbit_pairs
+    assert [i for i, _ in a.orbit_pairs] == [i for i, _ in b.orbit_pairs]
     for field in (a, b):
         zech = field.tables()[1]
-        assert all(z == zech[i] for i, z in _field_scan_data(field))
+        assert all(z == zech[i] for i, z in field.orbit_pairs)
     for e in (4, 14, 122):
         for field in (a, b, a, b):
             c2, c3 = _solutions_table(field, e)
@@ -258,13 +255,11 @@ def test_scan_data_is_kept_per_field_not_per_degree():
 def test_scan_data_is_freed_with_its_field():
     field = Field(4)
     _solutions_table(field, 14)
-    assert field in _FIELD_SCAN_DATA
-    held = len(_FIELD_SCAN_DATA)
+    assert "orbit_pairs" in vars(field)
     ref = weakref.ref(field)
     del field
     gc.collect()
     assert ref() is None
-    assert len(_FIELD_SCAN_DATA) <= held - 1
 
 
 def test_verify_optimal_calls_coset_once(monkeypatch):
@@ -308,7 +303,7 @@ def test_orbit_leaders_partition_the_logarithms(m):
     # the orbits of the leaders, plus the fixed point n/2, cover Z_n once,
     # and each leader is the least member of its orbit
     n = 3**m - 1
-    leaders = [i for i, _ in _field_scan_data(build_field(m))]
+    leaders = [i for i, _ in build_field(m).orbit_pairs]
     covered = [n // 2]
     for i in leaders:
         members = coset(i, 3, m).members

@@ -26,11 +26,17 @@ from cyc3.field import (
 from cyc3.gf3poly import (
     Poly,
     is_irreducible,
-    monic_polys,
     parse_poly,
     powmod,
     prime_factors,
 )
+
+
+def _monic_polys(d):
+    # every monic polynomial of degree d, in ascending coefficient-sequence
+    # order (constant term compared first)
+    return (Poly(tail + (1,)) for tail in itertools.product(range(3), repeat=d))
+
 
 # one frozen modulus per extension degree; the constructor must keep
 # picking exactly these or every logged exponent in the suite shifts
@@ -80,7 +86,7 @@ def test_canonical_modulus_frozen(m):
 def _first_primitive_modulus_by_full_scan(m):
     # every monic candidate in order, whatever its constant term
     n = 3**m - 1
-    for f in monic_polys(m):
+    for f in _monic_polys(m):
         if not is_irreducible(f):
             continue
         x = Poly.x() % f
@@ -158,7 +164,7 @@ def test_explicit_modulus_builds_exactly_when_x_is_primitive(m):
     # every monic irreducible of degree m: the field builds iff stepping x
     # reaches order 3^m - 1, and is refused otherwise
     built = refused = 0
-    for f in monic_polys(m):
+    for f in _monic_polys(m):
         if not is_irreducible(f):
             continue
         if _order_of_x_by_stepping(f) == 3**m - 1:
