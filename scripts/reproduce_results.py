@@ -118,8 +118,8 @@ def main() -> int:
         "e = 122 (mod 242) at 8 (m, h) with 5 | m <= 120",
     )
 
-    section("whole-group search, the README table rows at m = 8, 9")
-    for m, optimal, evaluated in ((8, 58, 422), (9, 649, 1096)):
+    section("whole-group search, the README table rows at m = 8, 9, 10")
+    for m, optimal, evaluated in ((8, 58, 422), (9, 649, 1096), (10, 978, 2978)):
         out = io.StringIO()
         with redirect_stdout(out):
             code = cli_main(["search", "--m", str(m), "--format", "json"])

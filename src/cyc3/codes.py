@@ -101,7 +101,7 @@ class WeightWitness(NamedTuple):
 
 def _confirm_witness(field: Field, e: int, positions, values) -> None:
     s1, s2 = syndrome(field, e, positions, values)
-    if s1 != field.zero or s2 != field.zero:
+    if s1 or s2:
         raise RuntimeError(
             f"witness {positions}/{values} failed syndrome confirmation"
         )
@@ -216,4 +216,4 @@ def is_codeword(spec: CodeSpec, word: Poly) -> bool:
     """Membership by generator divisibility; word as a polynomial."""
     if word.degree >= spec.n:
         raise ValueError(f"word degree must be below n={spec.n}")
-    return (word % spec.generator).is_zero
+    return not word % spec.generator

@@ -71,14 +71,14 @@ class Field:
         if modulus is None:
             modulus = _canonical_modulus(m)
         else:
-            if modulus.degree != m or not modulus.is_monic:
+            if modulus.degree != m or modulus.lc != 1:
                 raise ValueError("modulus must be monic of degree m")
             if not is_irreducible(modulus):
                 raise ValueError(f"modulus {modulus.format()} is reducible")
             if not _x_is_primitive(modulus):
                 raise ValueError(f"x is not primitive modulo {modulus.format()}")
         self.modulus = modulus
-        self.zero = Poly.zero()
+        self.zero = Poly()
         self.one = Poly.one()
         self._alpha = Poly.x() % modulus  # the constant -1 when m = 1
         # the generator's padded coefficient tuple, which field-info prints
@@ -86,8 +86,6 @@ class Field:
         # the element
         self.gen = self._alpha.coeffs + (0,) * (m - len(self._alpha.coeffs))
         self.has_tables = m <= LOG_TABLE_MAX_DEGREE
-        self._exp: array | None = None
-        self._zech: array | None = None
 
     def check_tables(self) -> None:
         """Refuse (ValueError) an m without tables, building nothing."""
@@ -164,8 +162,10 @@ class Field:
         exp[i] is the code of alpha^i for i in [0, order); zech[i] is the
         logarithm of 1 + alpha^i, or ZECH_ZERO where that sum vanishes.
         """
-        if self._exp is not None:
-            return self._exp, self._zech
+        return self._tables
+
+    @cached_property
+    def _tables(self) -> tuple[array, array]:
         self.check_tables()
         m, n = self.m, self.order
         top = 3 ** (m - 1)  # code of one, and the weight of the top digit
@@ -199,7 +199,6 @@ class Field:
         if plus_one.count(ZECH_ZERO) != 1:
             raise RuntimeError("generator powers collide")  # pragma: no cover
         zech = array("i", map(plus_one.__getitem__, exp))
-        self._exp, self._zech = exp, zech
         return exp, zech
 
     # -- text form -----------------------------------------------------------

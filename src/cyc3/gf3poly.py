@@ -88,10 +88,6 @@ class Poly:
         self._p2 = int(digits.translate(_TWOS), 2)
 
     @classmethod
-    def zero(cls) -> "Poly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "Poly":
         return cls((1,))
 
@@ -118,14 +114,6 @@ class Poly:
         """Leading coefficient; 0 for the zero polynomial."""
         n1, n2 = self._p1.bit_length(), self._p2.bit_length()
         return 1 if n1 > n2 else 2 if n2 else 0
-
-    @property
-    def is_zero(self) -> bool:
-        return not (self._p1 or self._p2)
-
-    @property
-    def is_monic(self) -> bool:
-        return self._p1.bit_length() > self._p2.bit_length()
 
     def __bool__(self) -> bool:
         return bool(self._p1 or self._p2)
@@ -234,7 +222,7 @@ class Poly:
 
     def monic(self) -> tuple[int, "Poly"]:
         """Split into (unit, monic polynomial) with self == unit * monic."""
-        if self.is_zero:
+        if not self:
             raise ValueError("zero polynomial has no monic form")
         u = self.lc
         if u == 1:
@@ -272,7 +260,7 @@ def _reduce(a: Poly, b: Poly, quotient: bool = False) -> tuple[Poly, int, int]:
     """a mod b and the planes of the quotient of a by the monic lc(b) * b,
     cancelling the top term of a until its degree drops below b's.  The
     quotient planes are built only when asked for, and are 0 otherwise."""
-    if b.is_zero:
+    if not b:
         raise ZeroDivisionError("division by zero polynomial")
     g1, g2 = (b._p1, b._p2) if b.lc == 1 else (b._p2, b._p1)
     size = b.degree + 1
@@ -403,7 +391,7 @@ def _parse_human(text: str) -> Poly:
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor."""
-    if a.is_zero and b.is_zero:
+    if not (a or b):
         raise ValueError("gcd of two zero polynomials is undefined")
     # Euclid on the planes: each step reduces a by the monic form of b,
     # whose planes are b's swapped when lc(b) = 2, and keeps that form
@@ -437,7 +425,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 def powmod(a: Poly, n: int, mod: Poly) -> Poly:
     """a**n reduced mod a modulus of degree >= 1; n is any nonnegative int."""
-    if mod.is_zero:
+    if not mod:
         raise ZeroDivisionError("zero modulus")
     if mod.degree < 1:
         raise ValueError("modulus must have degree >= 1")
@@ -559,13 +547,13 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
 
     Returns [(part, multiplicity), ...] with f == product part**multiplicity.
     """
-    if f.is_zero or not f.is_monic or f.degree < 1:
+    if f.lc != 1 or f.degree < 1:
         raise ValueError("input must be monic of degree >= 1")
     parts = []
     scale = 1
     while f.degree > 0:
         df = f.derivative()
-        if df.is_zero:
+        if not df:
             f = _cube_root(f)
             scale *= 3
             continue
@@ -653,7 +641,7 @@ def factor(f: Poly) -> Factorization:
     planes each, from a generator seeded with 0, and factors are sorted by
     degree, then by ascending coefficient sequence.
     """
-    if f.is_zero:
+    if not f:
         raise ValueError("cannot factor the zero polynomial")
     unit, fm = f.monic()
     if fm.degree == 0:
@@ -676,4 +664,4 @@ def roots_in_extension(f: Poly, m: int) -> bool:
     if m < 1:
         raise ValueError("m must be >= 1")
     t = frobenius_power(Poly.x(), m, f) - (Poly.x() % f)
-    return t.is_zero
+    return not t

@@ -168,7 +168,7 @@ def factorization_check(check_id: str, lhs: Poly, fixture, coprime=()) -> Identi
     expected = _fixture_factorization(fixture)
     problems = []
     for p, _ in expected.factors:
-        if not p.is_monic:
+        if p.lc != 1:
             problems.append(f"fixture factor {p.format()} is not monic")
         elif not is_irreducible(p):
             problems.append(f"fixture factor {p.format()} is reducible")
@@ -178,7 +178,7 @@ def factorization_check(check_id: str, lhs: Poly, fixture, coprime=()) -> Identi
                     f"subfield bridge broken for {p.format()} at m={m}"
                 )
     unit: int | None = None
-    if lhs.is_zero:
+    if not lhs:
         problems.append("left-hand side is zero")
     else:
         unit, lhs_monic = lhs.monic()

@@ -233,7 +233,7 @@ def test_07d_family_c_defect_is_certified_past_the_table_cap(m, h):
             b = b * beta % f
         assert b == one and len(log) == 242
         c2, c3 = [], []
-        for y in (Poly.zero(), *log):
+        for y in (Poly(), *log):
             lhs, rhs = powmod(y + one, e, f), powmod(y, e, f) + one
             if lhs == rhs:
                 c2.append(y)
@@ -254,7 +254,7 @@ def test_07d_family_c_defect_is_certified_past_the_table_cap(m, h):
     assert (c2_count, c3_count) == (61, 61)
     assert (len(small.c2_solutions), len(small.c3_solutions)) == (61, 61)
     assert len(set(positions)) == 3
-    assert syndromes == [Poly.zero(), Poly.zero()], positions
+    assert syndromes == [Poly(), Poly()], positions
     print(f"PASS criterion 7d: m={m} h={h} has a weight-3 word at {positions}")
 
 
@@ -304,8 +304,8 @@ def test_09_family_report_is_byte_deterministic():
 
 def test_reproduce_results_script_replays_every_result(tmp_path):
     # the script reads the reports' solution lists and witnesses and
-    # replays the README's search rows at m = 8, 9; it takes about a
-    # second, and runs from any directory: started elsewhere, with no
+    # replays the README's search rows at m = 8, 9, 10; it takes about
+    # 2.5 s, and runs from any directory: started elsewhere, with no
     # PYTHONPATH, it still imports the checkout's own src
     script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_results.py"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -323,3 +323,4 @@ def test_reproduce_results_script_replays_every_result(tmp_path):
     assert "ALL RESULTS REPRODUCED" in proc.stdout
     assert "ok   search m=8: 58 of 422 optimal" in proc.stdout
     assert "ok   search m=9: 649 of 1096 optimal" in proc.stdout
+    assert "ok   search m=10: 978 of 2978 optimal" in proc.stdout

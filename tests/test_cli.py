@@ -643,6 +643,7 @@ SEARCH_DIGESTS = {
     7: "a3a0277d833b2c0e0d55f2b1846a5e7e11e31e3ce52ca21f213e25a5d8e590da",
     8: "d9fc379c9ef2b0085f6a74da4ea44ca0c551463ada087f99e7c7a4a310963ec1",
     9: "8e5fc26a31b6ff1de7f3cdce4e04c678f7cc17305dae7d5deb5242638114eefa",
+    10: "4543e1344cc1c06be25d4cc81f6774b60397ee5c68ef787ada68b28490069019",
 }
 
 

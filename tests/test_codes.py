@@ -36,7 +36,7 @@ def test_generator_divides_group_polynomial():
     for field, e in [(f4, 14), (f4, 2), (f6, 86), (build_field(2), 2)]:
         spec = build_code(field, e)
         group_poly = Poly.x() ** spec.n - Poly.one()
-        assert (group_poly % spec.generator).is_zero
+        assert not group_poly % spec.generator
 
 
 def test_conjugate_exponent_rejected():
@@ -108,7 +108,7 @@ def test_is_codeword():
     spec = build_code(f4, 14)
     assert is_codeword(spec, spec.generator)
     assert is_codeword(spec, Poly.x() * spec.generator)
-    assert is_codeword(spec, Poly.zero())
+    assert is_codeword(spec, Poly())
     assert not is_codeword(spec, Poly.one())
     with pytest.raises(ValueError):
         is_codeword(spec, Poly.x() ** 80)
@@ -168,7 +168,7 @@ def test_witnesses_are_codewords(m, found):
         w = min_weight_leq3_search(field, c.leader)
         if w.verdict != "found":
             continue
-        word = Poly.zero()
+        word = Poly()
         for pos, val in zip(w.positions, w.values):
             word = word + val * Poly.x() ** pos
         assert is_codeword(build_code(field, c.leader), word), c.leader
@@ -209,7 +209,7 @@ def test_each_non_forced_solution_is_a_weight_three_codeword(m):
             if spec:
                 word = sum(
                     (v * Poly.x() ** pos for v, pos in zip(values, positions)),
-                    Poly.zero(),
+                    Poly(),
                 )
                 assert is_codeword(spec, word), (e, positions)
             n_words += 1
@@ -229,7 +229,7 @@ def test_syndrome_above_the_table_cap_is_refused_building_nothing():
     with pytest.raises(ValueError) as exc:
         syndrome(field, 4, (0,), (1,))
     assert f"m <= {LOG_TABLE_MAX_DEGREE}" in str(exc.value)
-    assert field._exp is None and field._zech is None
+    assert "_tables" not in vars(field)
 
 
 def test_table_free_routes_ignore_the_tables():
@@ -237,15 +237,15 @@ def test_table_free_routes_ignore_the_tables():
     # the generator and the parity-check columns match a field that never
     # built tables: none of them reads the tables
     field, fresh = Field(5), Field(5)
-    exp, _ = field.tables()
-    field._exp = exp[1:] + exp[:1]
+    exp, zech = field.tables()
+    field._tables = (exp[1:] + exp[:1], zech)
     for i in (1, 7, 100):
         assert field.exp_of_generator(i) == fresh.exp_of_generator(i)
     for i in (1, 7, 14):
         assert minimal_polynomial(field, i) == minimal_polynomial(fresh, i)
     assert build_code(field, 14).generator == build_code(fresh, 14).generator
     assert parity_check_columns(field, 14)[:20] == parity_check_columns(fresh, 14)[:20]
-    assert fresh._exp is None
+    assert "_tables" not in vars(fresh)
 
 
 def _brute_force_light_word(field, e):
