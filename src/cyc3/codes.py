@@ -14,13 +14,31 @@ checked elsewhere: it decides "is there a codeword of weight 1, 2, or 3" by
 direct search over columns, so the two routes can be played against each
 other.  Weight 1 is impossible (no column is zero).  Weight 2 reduces to a
 column being a base-field multiple of another, which pins the position gap
-to n/2.  Weight 3 needs only the pairs (0, j) with j <= n/3: the code is
-cyclic, so every word of weight 3 has a cyclic shift with a nonzero at
-position 0 whose next nonzero is at most n/3 away, and the scan is linear
-in n.  For each j it solves for the unique candidate third
+to n/2.  Weight 3 needs only the pairs (0, j) with j an orbit leader of
+<3, -1> on Z_n and j <= n/3, by the lemma below, so the scan tests about
+n/(2m) points.  For each j it solves for the unique candidate third
 column and accepts only hits with index k > j, with the third scalar
 normalized to 1; the candidate lookup runs in Zech-logarithm space, and a
 hit is confirmed by its syndrome, from powers read off the exp table.
+
+The lemma.  Let D be the set of x for which some weight-3 word has
+support {0, x, y}.
+  - D is closed under x -> 3x: the permutation i -> 3i mod n keeps the
+    code, because sum c_i alpha^(3i) = (sum c_i alpha^i)^3 for GF(3)
+    coefficients c_i, and likewise for the second syndrome.
+  - D is closed under x -> -x: shifting {0, x, y} by -x gives a word with
+    support {-x, 0, y - x}.
+  - So D is a union of orbits of <3, -1>, and mu = min D is the least
+    member of its orbit, an orbit leader.  By the smallest-gap argument
+    (a word's three cyclic gaps sum to n, so the shift that puts the
+    nonzero before the smallest gap at 0 has its next nonzero at most
+    n // 3 on), mu <= n // 3.
+  - mu's partner y lies in D too, so y > mu: a scan over every j meets
+    its first hit at j = mu, and a walk over the leaders runs the same
+    four-pair block at the same j, so it returns the same first witness.
+The leaders are Field.orbit_pairs, the list the condition scan walks;
+both read the same Zech table, and the oracle takes nothing else from the
+condition scan.
 
 Before that lookup a residue filter skips most j.  Past the weight-2 test
 e is even, so (n/2)*e = 0 (mod n); reducing the second-coordinate equation
@@ -35,6 +53,7 @@ the optimality conditions, so the search stays an independent route.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import comb
 from typing import NamedTuple
 
@@ -114,8 +133,10 @@ def min_weight_leq3_search(field: Field, e: int) -> WeightWitness:
     its first value is 1, or the verdict no_word_below_4.  Every witness
     starts at position 0: the code is cyclic, so a word of weight 2 or 3
     has a cyclic shift that is nonzero at position 0, and scanning the
-    pairs (0, j) covers all of them.  An m without Zech tables is refused
-    (ValueError) by field.tables().
+    pairs (0, j) covers all of them.  The weight-3 scan walks only the
+    orbit leaders j <= n // 3 of Field.orbit_pairs; by the module's lemma
+    its first witness is the one a scan over every j <= n // 3 finds.  An
+    m without Zech tables is refused (ValueError) by field.tables().
 
     The filter, per scalar pair (lam1, lam2) = (alpha^o1, alpha^o2) with
     o1, o2 in {0, h}, h = n/2 and e even, so that h*e = 0 (mod n): the hit
@@ -148,12 +169,9 @@ def min_weight_leq3_search(field: Field, e: int) -> WeightWitness:
     # normalized to 1.  Solve for k from the first coordinates via Zech
     # logs, then accept iff the second coordinates agree and k > j.
     #
-    # j <= n // 3 suffices.  A word with nonzeros at p < q < r has the
-    # cyclic gaps q - p, r - q and n - r + p, which sum to n, so the
-    # smallest is at most n // 3.  Its shift that moves the nonzero before
-    # the smallest gap to position 0 is a hit at j = that gap (k = j + the
-    # next gap > j).  So every word is met at some j <= n // 3, and the
-    # first hit, the witness, is the one a scan over every j finds first.
+    # Only the orbit leaders j <= n // 3 need testing (the module's lemma).
+    # orbit_pairs lists them ascending with zech[j], so the walk stops at
+    # the first j past n // 3; its first entry, the leader 0, is skipped.
     #
     # The first coordinates need the Zech logarithm of j + o2 - o1, which
     # is j when lam1 = lam2 and j + n/2 otherwise.  As 1 <= j <= n // 3,
@@ -163,12 +181,12 @@ def min_weight_leq3_search(field: Field, e: int) -> WeightWitness:
     # Past the weight-2 test e is even, so half*e = 0 (mod n) and the
     # residue filter of the docstring holds; zech[ej - half] reads the
     # entry at ej + half mod n through negative indexing.
-    ej = 0
-    for j in range(1, n // 3 + 1):
-        ej += e
-        if ej >= n:
-            ej -= n
-        same, other = zech[j], zech[j + half]
+    third = n // 3
+    for j, same in islice(field.orbit_pairs, 1, None):
+        if j > third:
+            break
+        ej = j * e % n
+        other = zech[j + half]
         if (same * e - zech[ej]) % half and (other * e - zech[ej - half]) % half:
             continue  # no hit at any (lam1, lam2)
         # (lam1, lam2) = (1, 1), (1, 2), (2, 1), (2, 2)

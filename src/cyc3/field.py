@@ -134,11 +134,13 @@ class Field:
 
     @cached_property
     def orbit_pairs(self) -> list[tuple[int, int]]:
-        """The (leader, zech[leader]) pairs the condition scan walks, in
-        ascending leader order.  A leader is the least member of an orbit
-        of <3, -1> on Z_n, n = order; the fixed point n/2 is left out.  The
-        conditions module docstring says why one point per orbit is
-        enough.  Built on first use and dropped with the field."""
+        """The (leader, zech[leader]) pairs, in ascending leader order.  A
+        leader is the least member of an orbit of <3, -1> on Z_n,
+        n = order; the fixed point n/2 is left out.  Two scans walk them:
+        the condition scan in `conditions`, and the weight-3 scan of
+        `codes.min_weight_leq3_search`, up to n // 3.  Each module's
+        docstring says why one point per orbit is enough there.  Built on
+        first use and dropped with the field."""
         zech = self.tables()[1]
         n = self.order
         seen = bytearray(n)

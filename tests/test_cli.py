@@ -654,6 +654,26 @@ def test_search_bytes_match_the_recorded_digests(capsys, m):
     assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_DIGESTS[m]
 
 
+# sha256 of the stdout of `mindist --m M --e E --format json`: witnesses
+# found at j = 820 and j = 7381, and two clean scans; a change to the
+# weight search's walk or its filter must keep these bytes
+MINDIST_DIGESTS = {
+    (8, 4): "58f80f38cb8635485eeb1e533f200ffdd13dc297456c82f72805f70933aa8784",
+    (10, 4): "cb150b3c42df907d71828fe6bf4398c520a746453f5d8cce405c086b41be98ec",
+    (10, 734): "b5c2e906a66ddebc00e31e6fbde14c78314cfe17cbdaac55d49d9b016e34dcc6",
+    (12, 734): "bca9487fb27175503e966c4a2e0596da6c15b0dda126fd94d401c09ad8d20ab7",
+}
+
+
+@pytest.mark.parametrize("m,e", sorted(MINDIST_DIGESTS))
+def test_mindist_bytes_match_the_recorded_digests(capsys, m, e):
+    code, out, _ = run_cli(
+        capsys, "mindist", "--m", str(m), "--e", str(e), "--format", "json"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MINDIST_DIGESTS[m, e]
+
+
 def test_search_range(capsys):
     code, out, _ = run_cli(
         capsys, "search", "--m", "4", "--e-range", "10..20", "--format", "json",

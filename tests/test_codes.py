@@ -388,6 +388,30 @@ def test_residue_filter_keeps_every_verdict_and_first_witness():
     assert {(1, 1, 1), (1, 2, 1), (1, 2, 2), (1, 1, 2)} <= patterns
 
 
+@pytest.mark.parametrize("m", range(2, 8))
+def test_first_weight3_witness_sits_at_an_orbit_leader(m):
+    # the lemma behind the search's walk over orbit leaders, checked on the
+    # full-range reference with orbits computed here, not read from
+    # Field.orbit_pairs: the first hit's j is at most n // 3 and the least
+    # of {+-j*3^t mod n}; and the search, which tests the leaders alone,
+    # returns the reference's verdict and first witness at every exponent
+    field = build_field(m)
+    n = field.order
+    weight3 = 0
+    for e in range(1, n):
+        w = min_weight_leq3_search(field, e)
+        reference = _unfiltered_search(field, e)
+        assert (w.verdict, w.positions, w.values) == reference, e
+        positions = reference[1]
+        if positions is None or len(positions) != 3:
+            continue
+        j = positions[1]
+        orbit = {s * j * 3**t % n for t in range(m) for s in (1, -1)}
+        assert j <= n // 3 and j == min(orbit), (e, positions)
+        weight3 += 1
+    assert weight3  # every m here has a weight-3 first witness
+
+
 def test_hamming_ball_values():
     assert hamming_ball(80, 0, 3) == 1
     assert hamming_ball(80, 1, 3) == 161
