@@ -15,8 +15,8 @@ direct search over columns, so the two routes can be played against each
 other.  Weight 1 is impossible (no column is zero).  Weight 2 reduces to a
 column being a base-field multiple of another, which pins the position gap
 to n/2.  Weight 3 needs only the pairs (0, j) with j an orbit leader of
-<3, -1> on Z_n and j <= n/3, by the lemma below, so the scan tests about
-n/(2m) points.  For each j it solves for the unique candidate third
+<3, -1> on Z_n, by the lemma below, so the scan tests about n/(2m)
+points.  For each j it solves for the unique candidate third
 column and accepts only hits with index k > j, with the third scalar
 normalized to 1; the candidate lookup runs in Zech-logarithm space, and a
 hit is confirmed by its syndrome, from powers read off the exp table.
@@ -29,13 +29,12 @@ support {0, x, y}.
   - D is closed under x -> -x: shifting {0, x, y} by -x gives a word with
     support {-x, 0, y - x}.
   - So D is a union of orbits of <3, -1>, and mu = min D is the least
-    member of its orbit, an orbit leader.  By the smallest-gap argument
-    (a word's three cyclic gaps sum to n, so the shift that puts the
-    nonzero before the smallest gap at 0 has its next nonzero at most
-    n // 3 on), mu <= n // 3.
-  - mu's partner y lies in D too, so y > mu: a scan over every j meets
-    its first hit at j = mu, and a walk over the leaders runs the same
-    four-pair block at the same j, so it returns the same first witness.
+    member of its orbit, an orbit leader.  mu is not n/2: its partner y
+    lies in D too and differs from mu, so by closure under negation D has
+    a member below n/2.  So mu is one of Field.orbit_pairs' leaders.
+  - As y lies in D, y > mu: a scan over every j meets its first hit at
+    j = mu, and a walk over the leaders runs the same four-pair block at
+    the same j, so it returns the same first witness.
 The leaders are Field.orbit_pairs, the list the condition scan walks;
 both read the same Zech table, and the oracle takes nothing else from the
 condition scan.
@@ -134,9 +133,9 @@ def min_weight_leq3_search(field: Field, e: int) -> WeightWitness:
     starts at position 0: the code is cyclic, so a word of weight 2 or 3
     has a cyclic shift that is nonzero at position 0, and scanning the
     pairs (0, j) covers all of them.  The weight-3 scan walks only the
-    orbit leaders j <= n // 3 of Field.orbit_pairs; by the module's lemma
-    its first witness is the one a scan over every j <= n // 3 finds.  An
-    m without Zech tables is refused (ValueError) by field.tables().
+    orbit leaders of Field.orbit_pairs; by the module's lemma its first
+    witness is the one a scan over every j finds.  An m without Zech
+    tables is refused (ValueError) by field.tables().
 
     The filter, per scalar pair (lam1, lam2) = (alpha^o1, alpha^o2) with
     o1, o2 in {0, h}, h = n/2 and e even, so that h*e = 0 (mod n): the hit
@@ -158,8 +157,9 @@ def min_weight_leq3_search(field: Field, e: int) -> WeightWitness:
 
     # Weight 2: lam1*col_i + lam2*col_j = 0 forces (first coordinates)
     # alpha^(j-i) = -lam1/lam2, a base-field value, so j = i + n/2 and
-    # lam1 = lam2; the second coordinates then need alpha^(e*n/2) = -1.
-    if e * half % n == half:
+    # lam1 = lam2; the second coordinates then need alpha^(e*n/2) = -1,
+    # that is (-1)^e = -1: e is odd.
+    if e % 2:
         positions, values = (0, half), (1, 1)
         _confirm_witness(field, e, positions, values)
         return WeightWitness("found", positions, values)
@@ -169,22 +169,19 @@ def min_weight_leq3_search(field: Field, e: int) -> WeightWitness:
     # normalized to 1.  Solve for k from the first coordinates via Zech
     # logs, then accept iff the second coordinates agree and k > j.
     #
-    # Only the orbit leaders j <= n // 3 need testing (the module's lemma).
-    # orbit_pairs lists them ascending with zech[j], so the walk stops at
-    # the first j past n // 3; its first entry, the leader 0, is skipped.
+    # Only the orbit leaders need testing (the module's lemma).
+    # orbit_pairs lists them ascending with zech[j]; its first entry, the
+    # leader 0, is skipped.
     #
     # The first coordinates need the Zech logarithm of j + o2 - o1, which
-    # is j when lam1 = lam2 and j + n/2 otherwise.  As 1 <= j <= n // 3,
-    # neither is n/2, so the first coordinates never cancel, and the two
-    # logarithms are read once per j.
+    # is j when lam1 = lam2 and j + n/2 otherwise.  As 0 < j <= n/4 (the
+    # leader bound on Field.orbit_pairs), neither is n/2, so the first
+    # coordinates never cancel, and the two logarithms are read once per j.
     #
     # Past the weight-2 test e is even, so half*e = 0 (mod n) and the
     # residue filter of the docstring holds; zech[ej - half] reads the
     # entry at ej + half mod n through negative indexing.
-    third = n // 3
     for j, same in islice(field.orbit_pairs, 1, None):
-        if j > third:
-            break
         ej = j * e % n
         other = zech[j + half]
         if (same * e - zech[ej]) % half and (other * e - zech[ej - half]) % half:

@@ -140,7 +140,7 @@ def _solutions_table(field: Field, e: int) -> tuple[tuple[int, ...], tuple[int, 
     c2 = [0]  # x = 0: (0+1)^e - 0 - 1 = 0 always
     c3 = []
     # x = -1 solves both iff e is odd: 0 +- ((-1)^e + 1)
-    if e * half % n == half:
+    if e % 2:
         c2.append(exp[half])
         c3.append(exp[half])
     for i, zi in pairs:

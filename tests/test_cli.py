@@ -654,12 +654,15 @@ def test_search_bytes_match_the_recorded_digests(capsys, m):
     assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_DIGESTS[m]
 
 
-# sha256 of the stdout of `mindist --m M --e E --format json`: witnesses
-# found at j = 820 and j = 7381, and two clean scans; a change to the
-# weight search's walk or its filter must keep these bytes
+# sha256 of the stdout of `mindist --m M --e E --format json`: weight-3
+# witnesses found at j = 820 and j = 7381, two clean scans, and at odd e
+# the weight-2 witness (0, n/2); a change to the weight search's walk,
+# its filter or its odd-e test must keep these bytes
 MINDIST_DIGESTS = {
+    (6, 7): "472a3080beb3a3277e6b22dcfe6c492037f30f5553cc2ab443be904e3f1f72eb",
     (8, 4): "58f80f38cb8635485eeb1e533f200ffdd13dc297456c82f72805f70933aa8784",
     (10, 4): "cb150b3c42df907d71828fe6bf4398c520a746453f5d8cce405c086b41be98ec",
+    (10, 5): "8d973f435c91825ee274a5d082723b07e05ce8aee217a3e14ca740555a05817c",
     (10, 734): "b5c2e906a66ddebc00e31e6fbde14c78314cfe17cbdaac55d49d9b016e34dcc6",
     (12, 734): "bca9487fb27175503e966c4a2e0596da6c15b0dda126fd94d401c09ad8d20ab7",
 }
@@ -672,6 +675,24 @@ def test_mindist_bytes_match_the_recorded_digests(capsys, m, e):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == MINDIST_DIGESTS[m, e]
+
+
+# sha256 of the stdout of `verify --m M --e E --format json` at odd e,
+# where x = -1 joins both solution lists; a change to the condition
+# scan's odd-e test must keep these bytes
+VERIFY_DIGESTS = {
+    (4, 7): "d168f1a6425f83a87fc32987acba1805efab8c217052ad8b917aaa1e09cb2b41",
+    (9, 5): "486958029b13a109f45844288aa22162c27fd1e38e15d15e446662f74dbfc2a3",
+}
+
+
+@pytest.mark.parametrize("m,e", sorted(VERIFY_DIGESTS))
+def test_verify_bytes_match_the_recorded_digests(capsys, m, e):
+    code, out, _ = run_cli(
+        capsys, "verify", "--m", str(m), "--e", str(e), "--format", "json"
+    )
+    assert code == 1  # an odd e is never optimal
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[m, e]
 
 
 def test_search_range(capsys):

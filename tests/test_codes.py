@@ -392,7 +392,7 @@ def test_residue_filter_keeps_every_verdict_and_first_witness():
 def test_first_weight3_witness_sits_at_an_orbit_leader(m):
     # the lemma behind the search's walk over orbit leaders, checked on the
     # full-range reference with orbits computed here, not read from
-    # Field.orbit_pairs: the first hit's j is at most n // 3 and the least
+    # Field.orbit_pairs: the first hit's j is at most n // 4 and the least
     # of {+-j*3^t mod n}; and the search, which tests the leaders alone,
     # returns the reference's verdict and first witness at every exponent
     field = build_field(m)
@@ -407,7 +407,7 @@ def test_first_weight3_witness_sits_at_an_orbit_leader(m):
             continue
         j = positions[1]
         orbit = {s * j * 3**t % n for t in range(m) for s in (1, -1)}
-        assert j <= n // 3 and j == min(orbit), (e, positions)
+        assert j <= n // 4 and j == min(orbit), (e, positions)
         weight3 += 1
     assert weight3  # every m here has a weight-3 first witness
 

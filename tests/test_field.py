@@ -487,6 +487,19 @@ def test_the_table_cap_is_answered_without_building_tables():
     assert "_tables" not in vars(field)
 
 
+@pytest.mark.parametrize("m", range(1, LOG_TABLE_MAX_DEGREE + 1))
+def test_orbit_leaders_lie_at_or_below_a_quarter_of_n(m):
+    # the bound the weight-3 scan relies on to never meet n/2: every
+    # leader of <3, -1> other than n/2 is at most n/4, and at even m, where
+    # 4 | n, n/4 itself is a leader, of the orbit {n/4, 3n/4}
+    field = build_field(m)
+    n = field.order
+    leaders = [i for i, _ in field.orbit_pairs]
+    assert max(leaders) <= n // 4
+    if m % 2 == 0:
+        assert n // 4 in leaders
+
+
 def test_minus_one_is_half_order_power():
     assert f4.exp_of_generator(f4.order // 2) == -f4.one
     assert f4.tables()[0][f4.order // 2] == f4.encode(-f4.one)
