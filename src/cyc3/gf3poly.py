@@ -655,13 +655,3 @@ def factor(f: Poly) -> Factorization:
     factors = tuple(sorted(counts.items()))
     return Factorization(unit, factors)
 
-
-def roots_in_extension(f: Poly, m: int) -> bool:
-    """True when f divides x**(3**m) - x, i.e. f is squarefree with every
-    root in GF(3**m).  For irreducible f this holds iff deg f divides m."""
-    if f.degree < 1:
-        raise ValueError("degree must be >= 1")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    t = frobenius_power(Poly.x(), m, f) - (Poly.x() % f)
-    return not t

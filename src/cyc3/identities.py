@@ -18,13 +18,16 @@ silently.
 
 Every check is an exact ring statement: lhs equals unit times the monic
 fixture product, every fixture factor is irreducible, and the in-house
-factor engine reproduces the fixture multiset on its own.  A row may also
-list polynomials that must be pairwise coprime, tested once its
-factorization passes.  On top of the four factorizations, a registry of
-five auxiliary steps verifies the inline computations of the proofs
-(direct-substitution collapses, the x^8 - 1 consequence, and the two
-Frobenius facts modulo the degree-6 factor).  run_all executes everything
-in a fixed order.
+factor engine reproduces the fixture multiset on its own.  Irreducibility
+also settles where a factor's roots lie, so no subfield check is run: a
+factor of degree d has its roots in GF(3^m) exactly when d | m, which
+tests/test_identities.py pins and uses to count each equation's solutions
+from the fixtures.  A row may also list polynomials that must be pairwise
+coprime, tested once its factorization passes.  On top of the four
+factorizations, a registry of five auxiliary steps verifies the inline
+computations of the proofs (direct-substitution collapses, the x^8 - 1
+consequence, and the two Frobenius facts modulo the degree-6 factor).
+run_all executes everything in a fixed order.
 """
 
 from __future__ import annotations
@@ -41,14 +44,7 @@ from .gf3poly import (
     parse_poly,
     poly_gcd,
     powmod,
-    roots_in_extension,
 )
-
-# extensions over which the factor/subfield bridge is exercised: the even m
-# the open-problem family is certified at, fixed here rather than read from
-# the Zech-table cap, so a cap change leaves the suite's work alone; extend
-# it only on purpose
-BRIDGE_DEGREES = (4, 6, 8, 10, 12)
 
 
 def reduction_pair(sign: int) -> tuple[Poly, Poly]:
@@ -172,11 +168,6 @@ def factorization_check(check_id: str, lhs: Poly, fixture, coprime=()) -> Identi
             problems.append(f"fixture factor {p.format()} is not monic")
         elif not is_irreducible(p):
             problems.append(f"fixture factor {p.format()} is reducible")
-        for m in BRIDGE_DEGREES:
-            if roots_in_extension(p, m) != (m % p.degree == 0):
-                problems.append(
-                    f"subfield bridge broken for {p.format()} at m={m}"
-                )
     unit: int | None = None
     if not lhs:
         problems.append("left-hand side is zero")

@@ -695,6 +695,46 @@ def test_verify_bytes_match_the_recorded_digests(capsys, m, e):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[m, e]
 
 
+# sha256 of the stdout of `identities --format json`: a change to the
+# identity suite's checks or to the factor engine must keep these bytes
+IDENTITIES_DIGEST = "12837d68068172c45c30e787cbbb81b9d661d3b9422f19625315f4df938e4863"
+
+
+def test_identities_bytes_match_the_recorded_digest(capsys):
+    code, out, _ = run_cli(capsys, "identities", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == IDENTITIES_DIGEST
+
+
+# (exit code, sha256) of the stdout of `family --name NAME --m M_LIST
+# --format json`: a table-free route to the family verdicts must keep
+# these bytes at every m the tables reach; concl-C exits 1 on its
+# documented m = 5 reading
+FAMILY_DIGESTS = {
+    ("open-problem", "4,6,8,10,12"): (
+        0, "0c771d961b666032e20f2c74a9b62ab7af71d281123d867828ea67a2220ff5be"
+    ),
+    ("concl-A", "5,7,11"): (
+        0, "3649342da3207b0d02798a5bec4d30dfe7f05ee836d2a9c86e4cf288be464330"
+    ),
+    ("concl-B", "5,7,11"): (
+        0, "782c401791a6d3df0ce41d6606674219eb72d386f0044118369dda0f0e6e1a1b"
+    ),
+    ("concl-C", "5,7,11"): (
+        1, "3c4e74c6df6b4f87378259b86ec467dc8f478e84409f9bd76652ddf469f20392"
+    ),
+}
+
+
+@pytest.mark.parametrize("name,m_list", sorted(FAMILY_DIGESTS))
+def test_family_bytes_match_the_recorded_digests(capsys, name, m_list):
+    code, out, _ = run_cli(
+        capsys, "family", "--name", name, "--m", m_list, "--format", "json"
+    )
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest) == FAMILY_DIGESTS[name, m_list]
+
+
 def test_search_range(capsys):
     code, out, _ = run_cli(
         capsys, "search", "--m", "4", "--e-range", "10..20", "--format", "json",

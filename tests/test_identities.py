@@ -4,11 +4,13 @@ and the substitution steps that link them."""
 import pytest
 
 from cyc3 import identities
-from cyc3.conditions import _solutions_table
+from cyc3.conditions import _solutions_table, open_problem_exponent
 from cyc3.field import build_field
-from cyc3.gf3poly import Poly, parse_poly, poly_gcd, powmod, roots_in_extension
+from cyc3.gf3poly import Poly, factor, frobenius_power, parse_poly, poly_gcd, powmod
 from cyc3.identities import (
     FIXED_POINT_DIFFERENCE,
+    FIXED_POINT_SUM,
+    NINTH_POWER_DIFFERENCE,
     NINTH_POWER_SUM,
     SEVENTH_ROOT_FACTOR,
     cleared_compose,
@@ -103,8 +105,6 @@ def test_sum_fixed_point_has_quintuple_root_at_one():
 
 
 def _fixture_pairs(check):
-    from cyc3.gf3poly import factor
-
     return [(p.format(), m) for p, m in factor(check.lhs).factors]
 
 
@@ -144,8 +144,8 @@ def test_quintic_pair_is_coprime():
 
 def test_seventh_root_factor_splits_in_degree_six():
     p = parse_poly(SEVENTH_ROOT_FACTOR)
-    assert roots_in_extension(p, 6)
-    assert not roots_in_extension(p, 4)
+    for m in range(1, 13):
+        assert (frobenius_power(X, m, p) == X % p) == (m % 6 == 0)
     # its roots are primitive 14th roots of unity: x^7 = -1 mod p
     assert (X ** 7 + ONE) % p == Poly()
 
@@ -216,9 +216,6 @@ def test_factorization_check_detects_tampered_fixture():
             (("x^3-x", 1),),
             1,
             "fixture factor x^3-x is reducible; "
-            "subfield bridge broken for x^3-x at m=4; "
-            "subfield bridge broken for x^3-x at m=8; "
-            "subfield bridge broken for x^3-x at m=10; "
             "factor engine disagrees with fixture: "
             "engine=[('x', 1), ('x+1', 1), ('x-1', 1)]",
         ),
@@ -231,13 +228,24 @@ def test_factorization_check_reports_each_problem(lhs, fixture, unit, detail):
     assert (check.status, check.unit, check.detail) == ("fail", unit, detail)
 
 
-def test_bridge_degrees_separate_factors():
-    """Each frozen irreducible has roots exactly in the extensions its
-    degree divides, over the degrees the codes actually live in."""
-    for poly_text, _ in FIXED_POINT_DIFFERENCE + NINTH_POWER_SUM:
+def test_fixture_factors_have_roots_where_their_degree_divides():
+    """Each frozen irreducible has its roots in GF(3^m) exactly when its
+    degree divides m: x^(3^m) = x modulo it then and only then."""
+    fixtures = (
+        FIXED_POINT_DIFFERENCE + NINTH_POWER_DIFFERENCE
+        + FIXED_POINT_SUM + NINTH_POWER_SUM
+    )
+    for poly_text, _ in fixtures:
         p = parse_poly(poly_text)
-        for m in identities.BRIDGE_DEGREES:
-            assert roots_in_extension(p, m) == (m % p.degree == 0)
+        for m in range(1, 13):
+            assert (frobenius_power(X, m, p) == X % p) == (m % p.degree == 0)
+
+
+def _divided_gcd(sign):
+    """The gcd reduction_pair divides out of (-(A + sign), A + sign*B),
+    A = (x+1)^5 and B = x^5: 1 for sign -1 and x - 1 for sign +1."""
+    a, b = (X + ONE) ** 5, X ** 5
+    return poly_gcd(-(a + ONE * sign), a + b * sign)
 
 
 def _evaluate(poly, x, modulus):
@@ -257,7 +265,6 @@ def test_reduction_lemma_holds_at_every_table_solution(m):
     such solution is a root of it."""
     field = build_field(m)
     mod = field.modulus
-    a, b = (X + ONE) ** 5, X ** 5
     rows = {
         (sign, t): check.lhs
         for (_, sign, t, _, _), check in zip(identities._FACTORIZATIONS, run_all())
@@ -269,7 +276,7 @@ def test_reduction_lemma_holds_at_every_table_solution(m):
         t = 2 * h % m
         for sign, solutions in zip((-1, 1), _solutions_table(field, e)):
             num, den = reduction_pair(sign)
-            common = poly_gcd(-(a + ONE * sign), a + b * sign)
+            common = _divided_gcd(sign)
             F = cleared_compose(num, num, den)
             G = cleared_compose(den, num, den)
             if (sign, t) in rows:
@@ -282,3 +289,70 @@ def test_reduction_lemma_holds_at_every_table_solution(m):
                 assert y * _evaluate(den, x, mod) % mod == _evaluate(num, x, mod)
                 lhs = powmod(x, 3**t, mod) * _evaluate(G, x, mod) % mod
                 assert lhs == _evaluate(F, x, mod), (m, h, sign, code)
+
+
+def _fixture_count(m, e, sign, t):
+    """The number of solutions in GF(3^m) of (x+1)^e + sign*(x^e + 1) = 0,
+    counted from the paper's factor lists alone, for t = 2h mod m in
+    {0, 2}.  By the lemma in reduction_pair's docstring every solution is
+    a root of the gcd it divides out or of row (sign, t)'s left-hand side,
+    whose factors are that row's fixture once run_all passes.  x and x + 1,
+    where x^e or (x+1)^e vanishes, join so that the count of those points
+    does not rest on a fixture listing them.  A factor p of degree d has
+    its roots in GF(3^m) exactly when d | m, and they are Frobenius
+    conjugates, so all d solve or none do: test X = x mod p once, with
+    k = (e - 1) mod (3^d - 1) + 1, which acts as e on GF(3^d)* and stays
+    >= 1 where X = 0."""
+    (fixture,) = [
+        f for _, s, u, f, _ in identities._FACTORIZATIONS if (s, u) == (sign, t)
+    ]
+    candidates = {X, X + ONE}
+    candidates.update(parse_poly(text) for text, _ in fixture)
+    candidates.update(p for p, _ in factor(_divided_gcd(sign)).factors)
+    count = 0
+    for p in candidates:
+        d = p.degree
+        if m % d:
+            continue
+        x = X % p
+        k = (e - 1) % (3**d - 1) + 1
+        if not powmod(x + ONE, k, p) + (powmod(x, k, p) + ONE) * sign:
+            count += d
+    return count
+
+
+@pytest.mark.parametrize("m", range(3, 13))
+def test_fixture_counts_match_the_table_scan(m):
+    """At every e = 3^h + 5 with 2h mod m in {0, 2}, the counts from the
+    factor lists equal the lengths of the table scan's solution lists."""
+    field = build_field(m)
+    for h in range(m):
+        e = 3**h + 5
+        if e >= field.order:
+            break
+        t = 2 * h % m
+        if t not in (0, 2):
+            continue
+        counts = tuple(_fixture_count(m, e, sign, t) for sign in (-1, 1))
+        assert counts == tuple(map(len, _solutions_table(field, e))), (m, h)
+
+
+def test_open_problem_family_is_optimal_at_every_even_m_to_240():
+    """Conditions 1-4 for e = 3^(m/2) + 5 (m = 0 mod 4) and
+    e = 3^((m+2)/2) + 5 (m = 2 mod 4) at every even m in 4..240, with no
+    field table: parity and the coset facts by integer arithmetic, and
+    the solution counts from the factor lists.  The counts rest on the
+    lemma in reduction_pair's docstring and on the fixtures being the
+    complete factorizations, which run_all checks; x = 0 always solves
+    the difference equation and x = 1 the sum equation, so (1, 1) leaves
+    no other solution."""
+    assert all(c.passed for c in run_all())
+    for m in range(4, 241, 2):
+        h, e = open_problem_exponent(m)
+        n = 3**m - 1
+        t = 2 * h % m
+        assert e % 2 == 0, m
+        conjugates = {e * 3**k % n for k in range(m)}
+        assert len(conjugates) == m and 1 not in conjugates, m
+        counts = tuple(_fixture_count(m, e, sign, t) for sign in (-1, 1))
+        assert counts == (1, 1), m
