@@ -19,7 +19,8 @@ to n/2.  Weight 3 needs only the pairs (0, j) with j an orbit leader of
 points.  For each j it solves for the unique candidate third
 column and accepts only hits with index k > j, with the third scalar
 normalized to 1; the candidate lookup runs in Zech-logarithm space, and a
-hit is confirmed by its syndrome, from powers read off the exp table.
+hit is confirmed by its syndrome, summed on the bit planes of powers read
+off the exp table, never the Zech table.
 
 The lemma.  Let D be the set of x for which some weight-3 word has
 support {0, x, y}.
@@ -58,7 +59,7 @@ from typing import NamedTuple
 
 from .cosets import coset, minimal_polynomial
 from .field import Field
-from .gf3poly import Poly
+from .gf3poly import Poly, _add, _poly
 
 
 class ConjugateExponentError(ValueError):
@@ -98,13 +99,24 @@ def syndrome(field: Field, e: int, positions, values) -> tuple[Poly, Poly]:
 
     The powers are read off the exp table, not the Zech table the weight
     search solves with; an m without tables is refused (ValueError) by
-    field.tables()."""
+    field.tables() before anything else is built.  Each power's bit planes
+    (Field.planes) are added straight into the sums, the planes swapped to
+    negate it where the value is 2 mod 3, and a Poly is built only for each
+    result."""
     exp, n = field.tables()[0], field.order
-    s1 = s2 = field.zero
+    planes = field.planes
+    s1 = s2 = t1 = t2 = 0
     for pos, val in zip(positions, values):
-        s1 += field.decode(exp[pos % n]) * val
-        s2 += field.decode(exp[e * pos % n]) * val
-    return s1, s2
+        val %= 3
+        if not val:
+            continue
+        a1, a2 = planes(exp[pos % n])
+        b1, b2 = planes(exp[e * pos % n])
+        if val == 2:
+            a1, a2, b1, b2 = a2, a1, b2, b1
+        s1, s2 = _add(s1, s2, a1, a2)
+        t1, t2 = _add(t1, t2, b1, b2)
+    return _poly(s1, s2), _poly(t1, t2)
 
 
 class WeightWitness(NamedTuple):

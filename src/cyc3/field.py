@@ -21,8 +21,10 @@ turns addition of two generator powers into integer index arithmetic:
 alpha^u + alpha^v = alpha^(u + zech[(v-u) mod n]), with a -1 sentinel where
 the sum is zero.  That is what makes the condition scans and the weight
 search fast enough in pure Python.  Only those scans, and the syndrome
-that confirms the search's witnesses, read the tables: exp_of_generator
-computes alpha^i by powmod whether or not they are built.
+that confirms the search's witnesses, read the tables; the syndrome reads
+only the exp table, and above the cap it is refused before it builds the
+half-code table below.
+exp_of_generator computes alpha^i by powmod whether or not they are built.
 
 The tables are `array('i')`: an entry is a C int, where a list entry is a
 pointer to an int object of its own, so they take a fraction of a list's
@@ -34,9 +36,11 @@ writes i at the code of alpha^i - 1, which yields the logarithm of 1 + b at
 every code b but that of -1, and the Zech table is a single gather from
 that temporary array at the codes in exp; no discrete-log table is kept.
 
-The text form of a code is its m digits, comma-joined.  decode and
+The text form of a code is its m digits, comma-joined.  planes and
 format_element read one cached table of the bit planes and text of every
-half-code; encode reads the digits straight from the bit planes.
+half-code: planes gives a code's two bit planes, which decode wraps in a
+`Poly` and the syndrome adds without one.  encode reads the digits straight
+from the bit planes.
 
 Degrees are capped at MAX_DEGREE.  Python ints are unbounded, so no
 integer size sets the cap: it is as far as the commands that run past the
@@ -118,10 +122,15 @@ class Field:
         return int(f"{a._p1:0{m}b}"[::-1], 3) + 2 * int(f"{a._p2:0{m}b}"[::-1], 3)
 
     def decode(self, code: int) -> Poly:
+        return _poly(*self.planes(code))
+
+    def planes(self, code: int) -> tuple[int, int]:
+        """The ones and twos bit planes of the residue with this code, as
+        `Poly` holds them, read without building a `Poly`."""
         low, high_half, low_half = self._halves
         h1, h2, _ = high_half[code // low]
         l1, l2, _ = low_half[code % low]
-        return _poly(h1 | l1, h2 | l2)
+        return h1 | l1, h2 | l2
 
     @cached_property
     def _halves(self) -> tuple[int, list[tuple], list[tuple]]:

@@ -137,6 +137,13 @@ def test_witness_that_fails_its_syndrome_is_refused(monkeypatch):
         min_weight_leq3_search(build_field(4), 4)
 
 
+def test_a_non_codeword_fails_its_confirmation():
+    # (4, 14) is optimal, so no word of weight 3 lies in the code; the
+    # real syndrome, not a stand-in, must refuse this one
+    with pytest.raises(RuntimeError, match="failed syndrome confirmation"):
+        codes._confirm_witness(build_field(4), 14, (0, 1, 2), (1, 1, 1))
+
+
 def test_weight2_witness_for_odd_exponent():
     w = min_weight_leq3_search(f4, 7)
     assert w.verdict == "found"
@@ -230,6 +237,33 @@ def test_syndrome_above_the_table_cap_is_refused_building_nothing():
         syndrome(field, 4, (0,), (1,))
     assert f"m <= {LOG_TABLE_MAX_DEGREE}" in str(exc.value)
     assert "_tables" not in vars(field)
+    assert "_halves" not in vars(field)
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_syndrome_matches_a_table_free_sum(m):
+    # seeded random sparse words against sum(val * alpha^pos) and the sum
+    # at e*pos, each power by powmod; values outside {0, 1, 2} and
+    # positions at or above n exercise the reductions mod 3 and mod n
+    field = build_field(m)
+    n, alpha, mod = field.order, Poly.x(), field.modulus
+    rng = random.Random(m)
+    nonzero = 0
+    for _ in range(300):
+        e = rng.randrange(1, n)
+        size = rng.randrange(1, 6)
+        positions = [rng.randrange(2 * n) for _ in range(size)]
+        values = [rng.choice((-1, 0, 1, 2, 3, 4)) for _ in range(size)]
+        s1 = sum(
+            (v * powmod(alpha, p, mod) for p, v in zip(positions, values)), Poly()
+        )
+        s2 = sum(
+            (v * powmod(alpha, e * p, mod) for p, v in zip(positions, values)),
+            Poly(),
+        )
+        assert syndrome(field, e, positions, values) == (s1, s2), (e, positions)
+        nonzero += bool(s1 or s2)
+    assert nonzero >= 200
 
 
 def test_table_free_routes_ignore_the_tables():
