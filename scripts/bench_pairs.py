@@ -15,9 +15,13 @@ workload and metric each side's spread (as `perfbench/suite.py` gives it)
 and how many pairs the change won, with the machine's core count and
 Python version.
 
-A tree holding `src/cyc3/__pycache__` is refused: the interpreter would
-load that bytecode instead of compiling the sources, so cli-cold would
-measure whether bytecode happens to exist.
+Every run it starts gets `PYTHONDONTWRITEBYTECODE=1`, and both trees are
+checked for `src/cyc3/__pycache__` at load and after every run; a tree
+holding it is refused, or stops the script.  The interpreter would load
+that bytecode instead of compiling the sources, so cli-cold would measure
+whether bytecode happens to exist: on a 2-core host with Python 3.11.7,
+a copy holding a partial `__pycache__` read cli-cold `peak_rss_mib`
+22.3 MiB, against 23.6 MiB for a clean copy.
 """
 
 from __future__ import annotations
@@ -34,9 +38,13 @@ PAIRS = 10
 TRACED_LAYERS = ("cli.python_start_s", "cli.import_s", "cli.main_s")
 
 
-def load_suite(side: str, tree: str):
+def check_no_bytecode(tree: str) -> None:
     if os.path.exists(os.path.join(tree, "src", "cyc3", "__pycache__")):
         raise SystemExit(f"{tree} holds src/cyc3/__pycache__; remove it first")
+
+
+def load_suite(side: str, tree: str):
+    check_no_bytecode(tree)
     spec = importlib.util.spec_from_file_location(
         f"suite_{side}", os.path.join(tree, "perfbench", "suite.py"))
     suite = importlib.util.module_from_spec(spec)
@@ -79,8 +87,9 @@ def main() -> int:
     traced_metrics = {m["name"]: m["better"] for m in bench["per_layer"]
                       if m["name"] in TRACED_LAYERS}
     sys.dont_write_bytecode = True  # leave both trees' perfbench/ as they are
-    suites = {side: load_suite(side, os.path.abspath(tree))
-              for side, tree in (("parent", args.parent), ("change", args.change))}
+    os.environ["PYTHONDONTWRITEBYTECODE"] = "1"  # and so do the runs started
+    trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    suites = {side: load_suite(side, tree) for side, tree in trees.items()}
     seeds = list(range(args.first_seed, args.first_seed + PAIRS))
     runs: dict[str, list[dict]] = {name: [] for name in workloads + ["cli-cold traced"]}
     for i, seed in enumerate(seeds):
@@ -90,6 +99,8 @@ def main() -> int:
             pair = {"seed": seed, "first": order[0]}
             for side in order:
                 pair[side] = run(suites[side], workload, seed, seconds, trace)
+                for tree in trees.values():
+                    check_no_bytecode(tree)
             runs[name].append(pair)
             failed = sum(pair[s]["result"]["failed"] for s in order)
             print(f"seed {seed} {name}: {failed} failed ops", flush=True)

@@ -32,13 +32,15 @@ support {0, x, y}.
   - So D is a union of orbits of <3, -1>, and mu = min D is the least
     member of its orbit, an orbit leader.  mu is not n/2: its partner y
     lies in D too and differs from mu, so by closure under negation D has
-    a member below n/2.  So mu is one of Field.orbit_pairs' leaders.
+    a member below n/2.  mu is not 0 either, as 0 is the support's first
+    position.  So mu is one of Field.orbit_pairs' nonzero leaders.
   - As y lies in D, y > mu: a scan over every j meets its first hit at
     j = mu, and a walk over the leaders runs the same four-pair block at
     the same j, so it returns the same first witness.
-The leaders are Field.orbit_pairs, the list the condition scan walks;
-both read the same Zech table, and the oracle takes nothing else from the
-condition scan.
+The leaders are those of Field.orbit_pairs, the list the condition scan
+walks, read through Field.leader_triples: the nonzero ones, in the same
+order, each with both Zech logarithms the scan needs.  Both scans read the same
+Zech table, and the oracle takes nothing else from the condition scan.
 
 Before that lookup a residue filter skips most j.  Past the weight-2 test
 e is even, so (n/2)*e = 0 (mod n); reducing the second-coordinate equation
@@ -53,7 +55,6 @@ the optimality conditions, so the search stays an independent route.
 
 from __future__ import annotations
 
-from itertools import islice
 from math import comb
 from typing import NamedTuple
 
@@ -129,6 +130,10 @@ class WeightWitness(NamedTuple):
         return len(self.positions) if self.positions is not None else None
 
 
+# every clean search returns this one immutable witness
+_NO_WORD_BELOW_4 = WeightWitness("no_word_below_4")
+
+
 def _confirm_witness(field: Field, e: int, positions, values) -> None:
     s1, s2 = syndrome(field, e, positions, values)
     if s1 or s2:
@@ -145,9 +150,9 @@ def min_weight_leq3_search(field: Field, e: int) -> WeightWitness:
     starts at position 0: the code is cyclic, so a word of weight 2 or 3
     has a cyclic shift that is nonzero at position 0, and scanning the
     pairs (0, j) covers all of them.  The weight-3 scan walks only the
-    orbit leaders of Field.orbit_pairs; by the module's lemma its first
-    witness is the one a scan over every j finds.  An m without Zech
-    tables is refused (ValueError) by field.tables().
+    orbit leaders, read through Field.leader_triples; by the module's
+    lemma its first witness is the one a scan over every j finds.  An m
+    without Zech tables is refused (ValueError) by field.tables().
 
     The filter, per scalar pair (lam1, lam2) = (alpha^o1, alpha^o2) with
     o1, o2 in {0, h}, h = n/2 and e even, so that h*e = 0 (mod n): the hit
@@ -182,20 +187,17 @@ def min_weight_leq3_search(field: Field, e: int) -> WeightWitness:
     # logs, then accept iff the second coordinates agree and k > j.
     #
     # Only the orbit leaders need testing (the module's lemma).
-    # orbit_pairs lists them ascending with zech[j]; its first entry, the
-    # leader 0, is skipped.
-    #
-    # The first coordinates need the Zech logarithm of j + o2 - o1, which
-    # is j when lam1 = lam2 and j + n/2 otherwise.  As 0 < j <= n/4 (the
+    # leader_triples lists the nonzero ones ascending, each with both
+    # logarithms the first coordinates need: that of j + o2 - o1, which is
+    # j when lam1 = lam2 and j + n/2 otherwise.  As 0 < j <= n/4 (the
     # leader bound on Field.orbit_pairs), neither is n/2, so the first
-    # coordinates never cancel, and the two logarithms are read once per j.
+    # coordinates never cancel.
     #
     # Past the weight-2 test e is even, so half*e = 0 (mod n) and the
     # residue filter of the docstring holds; zech[ej - half] reads the
     # entry at ej + half mod n through negative indexing.
-    for j, same in islice(field.orbit_pairs, 1, None):
+    for j, same, other in field.leader_triples:
         ej = j * e % n
-        other = zech[j + half]
         if (same * e - zech[ej]) % half and (other * e - zech[ej - half]) % half:
             continue  # no hit at any (lam1, lam2)
         # (lam1, lam2) = (1, 1), (1, 2), (2, 1), (2, 2)
@@ -216,7 +218,7 @@ def min_weight_leq3_search(field: Field, e: int) -> WeightWitness:
                 values = (1, lam1 * lam2 % 3, lam1)
                 _confirm_witness(field, e, positions, values)
                 return WeightWitness("found", positions, values)
-    return WeightWitness("no_word_below_4")
+    return _NO_WORD_BELOW_4
 
 
 def hamming_ball(n: int, t: int, q: int) -> int:

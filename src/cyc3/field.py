@@ -33,8 +33,9 @@ shifts it one digit down and adds a multiple of the modulus tail digit by
 digit through two lookup tables, and adding or subtracting 1 changes only
 the top digit.  So the loop that steps through the powers alpha^i also
 writes i at the code of alpha^i - 1, which yields the logarithm of 1 + b at
-every code b but that of -1, and the Zech table is a single gather from
-that temporary array at the codes in exp; no discrete-log table is kept.
+every code b but that of -1, and the Zech table is gathered from that
+temporary array at the codes in exp, a slice at a time; no discrete-log
+table is kept.
 
 The text form of a code is its m digits, comma-joined.  planes and
 format_element read one cached table of the bit planes and text of every
@@ -61,6 +62,9 @@ LOG_TABLE_MAX_DEGREE = 12
 
 # -1 entry in a Zech table: 1 + alpha^i = 0 there, no logarithm exists
 ZECH_ZERO = -1
+
+# codes the Zech gather reads from exp per list comprehension
+_GATHER_SLICE = 1 << 12
 
 
 class Field:
@@ -152,10 +156,11 @@ class Field:
         For j > n/2 it holds n - j < j.  The bound is reached at n/4 when
         m is even, where the orbit is {n/4, 3n/4}.
 
-        Two scans walk every pair: the condition scan in `conditions` and
-        the weight-3 scan of `codes.min_weight_leq3_search`.  Each module's
+        The condition scan in `conditions` walks every pair; the weight-3
+        scan of `codes.min_weight_leq3_search` walks the same leaders
+        through leader_triples, built from these pairs.  Each module's
         docstring says why one point per orbit is enough there.  The pairs
-        are tuples, unpacked in each scan's loop header, because two zipped
+        are tuples, unpacked in the scan's loop header, because two zipped
         array('i') columns or a leaders-only array that reads zech[i] ran
         the condition scan 1.13-1.34x slower at m = 8 and 10.  Built on
         first use and dropped with the field."""
@@ -176,6 +181,23 @@ class Field:
             i = seen.find(0, i + 1)
         return pairs
 
+    @cached_property
+    def leader_triples(self) -> list[tuple[int, int, int]]:
+        """(j, zech[j], zech[j + n/2]) for every nonzero leader j of
+        orbit_pairs, in the same ascending order; n/2 is not a leader, so
+        0 < j <= n/4 and j + n/2 < n.
+
+        Its one reader is the weight-3 scan of
+        `codes.min_weight_leq3_search`, which needs both logarithms at each
+        leader; the triples spare it a read of zech[j + n/2] per leader and
+        a skip past the leader 0 per call.  It is a list of its own because
+        triples in orbit_pairs, shared by both scans, cost the sweep-warm
+        benchmark of the condition scan 3.3% of its ops per second.  Built
+        on first use and dropped with the field."""
+        zech = self.tables()[1]
+        half = self.order // 2
+        return [(j, z, zech[j + half]) for j, z in self.orbit_pairs if j]
+
     def tables(self) -> tuple[array, array]:
         """(exp, zech) for m <= LOG_TABLE_MAX_DEGREE; built lazily.
 
@@ -193,12 +215,16 @@ class Field:
         # -c*tail digit by digit, high and low halves by lookup
         k = m // 2
         low = 3**k
+        low3 = 3 * low
         tail = self.modulus.coeffs[:m]
         hi = [
             [low * h for h in _digitwise_adder(tail[: m - k], -c)]
             for c in range(3)
         ]
         lo = [_digitwise_adder(tail[m - k :], -c) for c in range(3)]
+        # the dropped digit folded into the low lookup: r = a % low3 holds
+        # it as r % 3 and the low half of a // 3 as r // 3
+        lo3 = [lo[r % 3][r // 3] for r in range(low3)]
         # plus_one, indexed by code, holds the logarithm of 1 + that
         # element: i sits at the code of alpha^i - 1, which lowers the top
         # digit of a's code.  Below top the index a - top is negative and
@@ -209,16 +235,17 @@ class Field:
         for i in range(n):
             exp[i] = a
             plus_one[a - top] = i
-            c = a % 3
-            a //= 3
-            a = hi[c][a // low] + lo[c][a % low]
+            a = hi[a % 3][a // low3] + lo3[a % low3]
         if a != top:
             raise RuntimeError("generator order mismatch")  # pragma: no cover
         # alpha^i - 1 is every element but -1, so one slot stays unwritten
         # unless two powers collide
         if plus_one.count(ZECH_ZERO) != 1:
             raise RuntimeError("generator powers collide")  # pragma: no cover
-        zech = array("i", map(plus_one.__getitem__, exp))
+        # gathered a slice at a time, so no list of n ints is ever held
+        zech = array("i")
+        for s in range(0, n, _GATHER_SLICE):
+            zech.extend([plus_one[a] for a in exp[s : s + _GATHER_SLICE]])
         return exp, zech
 
     # -- text form -----------------------------------------------------------

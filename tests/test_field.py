@@ -500,6 +500,22 @@ def test_orbit_leaders_lie_at_or_below_a_quarter_of_n(m):
         assert n // 4 in leaders
 
 
+@pytest.mark.parametrize("m", range(1, LOG_TABLE_MAX_DEGREE + 1))
+def test_leader_triples_are_the_nonzero_leaders_with_both_logarithms(m):
+    # the weight-3 scan's list: orbit_pairs' leaders bar 0, in the same
+    # order, each with its Zech logarithm and that of j + n/2
+    field = Field(m)
+    n = field.order
+    zech = field.tables()[1]
+    triples = field.leader_triples
+    assert triples == [
+        (j, z, zech[j + n // 2]) for j, z in field.orbit_pairs if j
+    ]
+    leaders = [j for j, _, _ in triples]
+    assert 0 not in leaders and n // 2 not in leaders
+    assert all(j <= n // 4 for j in leaders)
+
+
 def test_minus_one_is_half_order_power():
     assert f4.exp_of_generator(f4.order // 2) == -f4.one
     assert f4.tables()[0][f4.order // 2] == f4.encode(-f4.one)

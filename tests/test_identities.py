@@ -291,34 +291,64 @@ def test_reduction_lemma_holds_at_every_table_solution(m):
                 assert lhs == _evaluate(F, x, mod), (m, h, sign, code)
 
 
+def _extra_candidates(sign):
+    """The candidates _fixture_count takes beside a row's fixture: x and
+    x + 1, where x^e or (x+1)^e vanishes, and the factors of the gcd
+    reduction_pair divides out."""
+    candidates = {X, X + ONE}
+    candidates.update(p for p, _ in factor(_divided_gcd(sign)).factors)
+    return candidates
+
+
+def _solves(p, e, sign):
+    """Whether the roots of the irreducible p solve
+    (x+1)^e + sign*(x^e + 1) = 0.  They are Frobenius conjugates, so all
+    solve or none do: test X = x mod p once, with
+    k = (e - 1) mod (3^d - 1) + 1, d = deg p, which acts as e on
+    GF(3^d)* and stays >= 1 where X = 0."""
+    x = X % p
+    k = (e - 1) % (3**p.degree - 1) + 1
+    return not powmod(x + ONE, k, p) + (powmod(x, k, p) + ONE) * sign
+
+
+def _fixture(sign, t):
+    """Row (sign, t)'s fixture factors, as polynomials."""
+    (fixture,) = [
+        f for _, s, u, f, _ in identities._FACTORIZATIONS if (s, u) == (sign, t)
+    ]
+    return {parse_poly(text) for text, _ in fixture}
+
+
 def _fixture_count(m, e, sign, t):
     """The number of solutions in GF(3^m) of (x+1)^e + sign*(x^e + 1) = 0,
     counted from the paper's factor lists alone, for t = 2h mod m in
     {0, 2}.  By the lemma in reduction_pair's docstring every solution is
     a root of the gcd it divides out or of row (sign, t)'s left-hand side,
-    whose factors are that row's fixture once run_all passes.  x and x + 1,
-    where x^e or (x+1)^e vanishes, join so that the count of those points
-    does not rest on a fixture listing them.  A factor p of degree d has
-    its roots in GF(3^m) exactly when d | m, and they are Frobenius
-    conjugates, so all d solve or none do: test X = x mod p once, with
-    k = (e - 1) mod (3^d - 1) + 1, which acts as e on GF(3^d)* and stays
-    >= 1 where X = 0."""
-    (fixture,) = [
-        f for _, s, u, f, _ in identities._FACTORIZATIONS if (s, u) == (sign, t)
-    ]
-    candidates = {X, X + ONE}
-    candidates.update(parse_poly(text) for text, _ in fixture)
-    candidates.update(p for p, _ in factor(_divided_gcd(sign)).factors)
+    whose factors are that row's fixture once run_all passes.  x and x + 1
+    join too, so that the count of those points does not rest on a
+    fixture listing them.  At e = 3^h + 5 these extra candidates change no
+    count: test_extra_candidates_are_fixture_factors_or_solve_nothing
+    checks that each is a fixture factor or solves nothing at every
+    (m, e, t) the count tests use.  A factor p of degree d has its roots
+    in GF(3^m) exactly when d | m, and then all d of them solve or none
+    do (_solves)."""
     count = 0
-    for p in candidates:
-        d = p.degree
-        if m % d:
-            continue
-        x = X % p
-        k = (e - 1) % (3**d - 1) + 1
-        if not powmod(x + ONE, k, p) + (powmod(x, k, p) + ONE) * sign:
-            count += d
+    for p in _fixture(sign, t) | _extra_candidates(sign):
+        if m % p.degree == 0 and _solves(p, e, sign):
+            count += p.degree
     return count
+
+
+def _scan_cases(m):
+    """(e, t) for every e = 3^h + 5 below 3^m - 1 with t = 2h mod m in
+    {0, 2}: the exponents the count is checked against the table scan at."""
+    for h in range(m):
+        e = 3**h + 5
+        if e >= 3**m - 1:
+            break
+        t = 2 * h % m
+        if t in (0, 2):
+            yield e, t
 
 
 @pytest.mark.parametrize("m", range(3, 13))
@@ -326,15 +356,34 @@ def test_fixture_counts_match_the_table_scan(m):
     """At every e = 3^h + 5 with 2h mod m in {0, 2}, the counts from the
     factor lists equal the lengths of the table scan's solution lists."""
     field = build_field(m)
-    for h in range(m):
-        e = 3**h + 5
-        if e >= field.order:
-            break
-        t = 2 * h % m
-        if t not in (0, 2):
-            continue
+    for e, t in _scan_cases(m):
         counts = tuple(_fixture_count(m, e, sign, t) for sign in (-1, 1))
-        assert counts == tuple(map(len, _solutions_table(field, e))), (m, h)
+        assert counts == tuple(map(len, _solutions_table(field, e))), (m, e)
+
+
+def _open_problem_case(m):
+    """(e, t) of the open-problem exponent at an even m."""
+    h, e = open_problem_exponent(m)
+    return e, 2 * h % m
+
+
+def test_extra_candidates_are_fixture_factors_or_solve_nothing():
+    """Each candidate _fixture_count adds beside a row's fixture (x, x + 1
+    and the divided-out gcd's factors) is a factor of that fixture, or
+    solves the row's equation at no (m, e) the count tests use: so at
+    c = 5 the counts rest on the fixtures alone.  For the difference rows
+    all three are fixture factors; for the sum rows x - 1 is, and x and
+    x + 1 solve nothing, as e is even."""
+    cases = [(m, *case) for m in range(3, 13) for case in _scan_cases(m)]
+    cases += [(m, *_open_problem_case(m)) for m in range(4, 241, 2)]
+    inert = 0
+    for _, sign, t, _, _ in identities._FACTORIZATIONS:
+        for p in _extra_candidates(sign) - _fixture(sign, t):
+            for m, e, u in cases:
+                if u == t and m % p.degree == 0:
+                    assert not _solves(p, e, sign), (sign, t, p.format(), m, e)
+                    inert += 1
+    assert inert  # the sum rows' x and x + 1 are checked, not skipped
 
 
 def test_open_problem_family_is_optimal_at_every_even_m_to_240():
@@ -348,9 +397,8 @@ def test_open_problem_family_is_optimal_at_every_even_m_to_240():
     no other solution."""
     assert all(c.passed for c in run_all())
     for m in range(4, 241, 2):
-        h, e = open_problem_exponent(m)
+        e, t = _open_problem_case(m)
         n = 3**m - 1
-        t = 2 * h % m
         assert e % 2 == 0, m
         conjugates = {e * 3**k % n for k in range(m)}
         assert len(conjugates) == m and 1 not in conjugates, m
