@@ -33,14 +33,15 @@ support {0, x, y}.
     member of its orbit, an orbit leader.  mu is not n/2: its partner y
     lies in D too and differs from mu, so by closure under negation D has
     a member below n/2.  mu is not 0 either, as 0 is the support's first
-    position.  So mu is one of Field.orbit_pairs' nonzero leaders.
+    position.  So mu is one of the field's nonzero orbit leaders.
   - As y lies in D, y > mu: a scan over every j meets its first hit at
     j = mu, and a walk over the leaders runs the same four-pair block at
     the same j, so it returns the same first witness.
 The leaders are those of Field.orbit_pairs, the list the condition scan
-walks, read through Field.leader_triples: the nonzero ones, in the same
-order, each with both Zech logarithms the scan needs.  Both scans read the same
-Zech table, and the oracle takes nothing else from the condition scan.
+walks, listed by the same walk (Field._leaders) in Field.leader_triples:
+the nonzero ones, in the same order, each with both Zech logarithms the
+scan needs.  Both scans read the same Zech table, and the oracle takes
+nothing else from the condition scan.
 
 Before that lookup a residue filter skips most j.  Past the weight-2 test
 e is even, so (n/2)*e = 0 (mod n); reducing the second-coordinate equation
@@ -190,7 +191,7 @@ def min_weight_leq3_search(field: Field, e: int) -> WeightWitness:
     # leader_triples lists the nonzero ones ascending, each with both
     # logarithms the first coordinates need: that of j + o2 - o1, which is
     # j when lam1 = lam2 and j + n/2 otherwise.  As 0 < j <= n/4 (the
-    # leader bound on Field.orbit_pairs), neither is n/2, so the first
+    # leader bound on Field._leaders), neither is n/2, so the first
     # coordinates never cancel.
     #
     # Past the weight-2 test e is even, so half*e = 0 (mod n) and the

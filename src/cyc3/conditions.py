@@ -4,7 +4,10 @@ The decision procedure evaluates, for a given (m, e):
 
   1. e is even;
   2. the coset facts: e is not conjugate to 1, and its coset has the full
-     size m.  They give k = n - 2m with no polynomial built:
+     size m.  verify_optimal reads both off one walk c -> 3c mod n over
+     e's coset, which has no size limit; the tests hold it to
+     cosets.coset(), the reference route.  They give k = n - 2m with no
+     polynomial built:
      minimal_polynomial is a product of one linear factor per conjugate,
      which it finds by cubing in the field rather than from coset(), so a
      full coset gives deg m_1 m_e = 2m by a route apart.  The test
@@ -65,7 +68,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .cosets import coset, cosets_meeting
+from .cosets import cosets_meeting
 from .field import Field, build_field
 from .gf3poly import powmod
 
@@ -144,15 +147,15 @@ def _solutions_table(field: Field, e: int) -> tuple[tuple[int, ...], tuple[int, 
         c2.append(exp[half])
         c3.append(exp[half])
     for i, zi in pairs:
-        ie = i * e % n
-        # (x+1)^e = alpha^lhs, lhs = zi * e mod n; x^e + 1 = alpha^rhs;
-        # -1 = alpha^half.  diff = lhs - rhs mod n, and |lhs - rhs| < n, so
-        # half | diff leaves lhs - rhs = 0, a c2 hit, or +-half, a c3 hit.
-        # Where x^e = -1 (ie = half) no equation holds and rhs reads
-        # ZECH_ZERO = -1; half | diff would then need zi * e = -1 mod half,
-        # so e prime to half, and i * e = half = 0 mod half would put i at
-        # 0 or half, where ie is 0 or i is no leader: no skip is needed
-        diff = zi * e - zech[ie]
+        # (x+1)^e = alpha^lhs, lhs = zi * e mod n; x^e + 1 = alpha^rhs with
+        # rhs = zech[i * e % n]; -1 = alpha^half.  diff = lhs - rhs mod n,
+        # and |lhs - rhs| < n, so half | diff leaves lhs - rhs = 0, a c2
+        # hit, or +-half, a c3 hit.  Where x^e = -1 (i * e = half mod n) no
+        # equation holds and rhs reads ZECH_ZERO = -1; half | diff would
+        # then need zi * e = -1 mod half, so e prime to half, and
+        # i * e = half = 0 mod half would put i at 0 or half, where
+        # i * e = 0 mod n or i is no leader: no skip is needed
+        diff = zi * e - zech[i * e % n]
         if diff % half:
             continue
         hits = c3 if diff % n else c2
@@ -226,22 +229,28 @@ def verify_optimal(field: Field, e: int, h: int | None = None) -> ConditionRepor
     field.check_exponent(e)
     m, n = field.m, field.order
     c1 = e % 2 == 0
-    cos_e = coset(e, 3, m)
-    coset_ok = cos_e.leader != 1 and cos_e.size == m
-    gcd_value = math.gcd(e, n)
+    # the coset facts from one walk c -> 3c mod n over e's coset: e is
+    # conjugate to 1 when the walk meets 1, and the coset is full when the
+    # walk takes m steps to return
+    c, size, meets_one = e, 1, e == 1
+    while (c := c * 3 % n) != e:
+        size += 1
+        meets_one = meets_one or c == 1
+    coset_ok = size == m and not meets_one
     c2, c3 = _solutions_table(field, e)
-    optimal = c1 and coset_ok and c2 == (0,) and c3 == (field.encode(field.one),)
+    # 3^(m-1) is the code of 1: its constant digit is the most significant
+    optimal = c1 and coset_ok and c2 == (0,) and c3 == (3 ** (m - 1),)
     return ConditionReport(
-        m=m,
-        e=e,
-        h=h if h is not None else _derive_h(e),
-        c1=c1,
-        coset_ok=coset_ok,
-        gcd_value=gcd_value,
-        c2_solutions=c2,
-        c3_solutions=c3,
-        verdict="optimal" if optimal else "not_optimal",
-        parameters=(n, n - 2 * m, 4) if optimal else None,
+        m,
+        e,
+        h if h is not None else _derive_h(e),
+        c1,
+        coset_ok,
+        math.gcd(e, n),
+        c2,
+        c3,
+        "optimal" if optimal else "not_optimal",
+        (n, n - 2 * m, 4) if optimal else None,
     )
 
 

@@ -147,44 +147,24 @@ class Field:
 
     @cached_property
     def orbit_pairs(self) -> list[tuple[int, int]]:
-        """The (leader, zech[leader]) pairs, in ascending leader order.  A
-        leader is the least member of an orbit of <3, -1> on Z_n,
-        n = order; the fixed point n/2 is left out.
-
-        Every leader is at most n/4.  For n/4 < j < n/2 the orbit of j
-        holds a member below j: 3j - n when j > n/3, and n - 3j otherwise.
-        For j > n/2 it holds n - j < j.  The bound is reached at n/4 when
-        m is even, where the orbit is {n/4, 3n/4}.
+        """The (leader, zech[leader]) pairs of _leaders(), in ascending
+        leader order.
 
         The condition scan in `conditions` walks every pair; the weight-3
         scan of `codes.min_weight_leq3_search` walks the same leaders
-        through leader_triples, built from these pairs.  Each module's
-        docstring says why one point per orbit is enough there.  The pairs
-        are tuples, unpacked in the scan's loop header, because two zipped
-        array('i') columns or a leaders-only array that reads zech[i] ran
-        the condition scan 1.13-1.34x slower at m = 8 and 10.  Built on
-        first use and dropped with the field."""
+        through leader_triples.  Each module's docstring says why one point
+        per orbit is enough there.  The pairs are tuples, unpacked in the
+        scan's loop header, because two zipped array('i') columns or a
+        leaders-only array that reads zech[i] ran the condition scan
+        1.13-1.34x slower at m = 8 and 10.  Built on first use and dropped
+        with the field."""
         zech = self.tables()[1]
-        n = self.order
-        seen = bytearray(n)
-        seen[n // 2] = 1
-        pairs = []
-        i = seen.find(0)
-        while i >= 0:
-            pairs.append((i, zech[i]))
-            j = i
-            while True:  # i's coset and its negation; seen[-j] is seen[n - j]
-                seen[j] = seen[-j] = 1
-                j = j * 3 % n
-                if j == i:
-                    break
-            i = seen.find(0, i + 1)
-        return pairs
+        return [(i, zech[i]) for i in self._leaders()]
 
     @cached_property
     def leader_triples(self) -> list[tuple[int, int, int]]:
         """(j, zech[j], zech[j + n/2]) for every nonzero leader j of
-        orbit_pairs, in the same ascending order; n/2 is not a leader, so
+        _leaders(), in the same ascending order; n/2 is not a leader, so
         0 < j <= n/4 and j + n/2 < n.
 
         Its one reader is the weight-3 scan of
@@ -192,11 +172,35 @@ class Field:
         leader; the triples spare it a read of zech[j + n/2] per leader and
         a skip past the leader 0 per call.  It is a list of its own because
         triples in orbit_pairs, shared by both scans, cost the sweep-warm
-        benchmark of the condition scan 3.3% of its ops per second.  Built
-        on first use and dropped with the field."""
+        benchmark of the condition scan 3.3% of its ops per second.  Each
+        list walks the leaders itself, so a process that runs one scan
+        holds only that scan's list.  Built on first use and dropped with
+        the field."""
         zech = self.tables()[1]
         half = self.order // 2
-        return [(j, z, zech[j + half]) for j, z in self.orbit_pairs if j]
+        return [(j, zech[j], zech[j + half]) for j in self._leaders() if j]
+
+    def _leaders(self):
+        """The orbit leaders of <3, -1> on Z_n, n = order, ascending: the
+        least member of each orbit, with the fixed point n/2 left out.
+
+        Every leader is at most n/4.  For n/4 < j < n/2 the orbit of j
+        holds a member below j: 3j - n when j > n/3, and n - 3j otherwise.
+        For j > n/2 it holds n - j < j.  The bound is reached at n/4 when
+        m is even, where the orbit is {n/4, 3n/4}."""
+        n = self.order
+        seen = bytearray(n)
+        seen[n // 2] = 1
+        i = seen.find(0)
+        while i >= 0:
+            yield i
+            j = i
+            while True:  # i's coset and its negation; seen[-j] is seen[n - j]
+                seen[j] = seen[-j] = 1
+                j = j * 3 % n
+                if j == i:
+                    break
+            i = seen.find(0, i + 1)
 
     def tables(self) -> tuple[array, array]:
         """(exp, zech) for m <= LOG_TABLE_MAX_DEGREE; built lazily.

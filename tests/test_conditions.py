@@ -119,9 +119,10 @@ def test_every_conjugate_of_one_is_refused(m):
         assert exc.value.coset == members
 
 
-@pytest.mark.parametrize("m", range(2, 6))
+@pytest.mark.parametrize("m", range(2, 9))
 def test_coset_condition_matches_membership_in_the_coset_of_one(m):
-    """Reference: the formula that tested membership in coset(1, 3, m)."""
+    """Reference: coset() decides membership in the coset of 1 and the
+    coset size, which verify_optimal reads off a walk of its own."""
     field = build_field(m)
     n = field.order
     cos_1 = coset(1, 3, m)
@@ -264,10 +265,12 @@ def test_scan_data_is_freed_with_its_field():
     assert ref() is None
 
 
-def test_verify_optimal_calls_coset_once(monkeypatch):
+def test_verify_optimal_calls_no_coset(monkeypatch):
     # e = 122 at m = 5 has 61 solutions to each equation; their orbits are
-    # walked inline, and only e's own coset is computed
+    # walked inline, and e's coset facts come from a walk of its own, so
+    # coset() is never called
     import cyc3.conditions
+    import cyc3.cosets
 
     calls = []
 
@@ -275,10 +278,12 @@ def test_verify_optimal_calls_coset_once(monkeypatch):
         calls.append(args)
         return coset(*args)
 
-    monkeypatch.setattr(cyc3.conditions, "coset", counting_coset)
+    monkeypatch.setattr(cyc3.cosets, "coset", counting_coset)
     r = verify_optimal(Field(5), 122)
     assert len(r.c2_solutions) == len(r.c3_solutions) == 61
-    assert calls == [(122, 3, 5)]
+    assert r.coset_ok
+    assert calls == []
+    assert not hasattr(cyc3.conditions, "coset")
 
 
 def test_orbit_scan_matches_the_generic_scan_at_m5_m6():

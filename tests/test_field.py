@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cyc3
+from cyc3.codes import min_weight_leq3_search
 from cyc3.conditions import _solutions_table
 from cyc3.field import (
     LOG_TABLE_MAX_DEGREE,
@@ -514,6 +515,20 @@ def test_leader_triples_are_the_nonzero_leaders_with_both_logarithms(m):
     leaders = [j for j, _, _ in triples]
     assert 0 not in leaders and n // 2 not in leaders
     assert all(j <= n // 4 for j in leaders)
+
+
+def test_each_scan_caches_only_its_own_leader_list():
+    # each list walks the leaders itself, so a process that runs one scan
+    # holds only that scan's list: the weight search the triples, the
+    # condition scan the pairs
+    field = Field(6)
+    min_weight_leq3_search(field, 86)
+    assert "leader_triples" in vars(field)
+    assert "orbit_pairs" not in vars(field)
+    field = Field(6)
+    _solutions_table(field, 86)
+    assert "orbit_pairs" in vars(field)
+    assert "leader_triples" not in vars(field)
 
 
 def test_minus_one_is_half_order_power():
